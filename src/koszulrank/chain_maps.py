@@ -58,8 +58,19 @@ class RankMethod(Enum):
 
 
 def prime_bits() -> int:
-    """Bit size for modular evaluation fields (env KOSZUL_PRIME_BITS, default 31)."""
-    return int(os.environ.get("KOSZUL_PRIME_BITS", "31"))
+    """Bit size for modular evaluation fields (env KOSZUL_PRIME_BITS, default 31).
+
+    Raises ValueError unless the value is an integer of at least 2: no prime
+    has a single bit, and GF(2) has no irreducible modulus of degree 1.
+    """
+    text = os.environ.get("KOSZUL_PRIME_BITS", "31")
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = 0
+    if bits < 2:
+        raise ValueError(f"KOSZUL_PRIME_BITS must be an integer >= 2, got {text!r}")
+    return bits
 
 
 class ChainMap:

@@ -34,6 +34,7 @@ from .chain_maps import (
     GradingMode,
     RankMethod,
     is_degree_preserving,
+    prime_bits,
     random_chain_map,
     verify_chain_map,
 )
@@ -360,6 +361,10 @@ def main(argv=None) -> int:
         parser.exit(EXIT_USAGE, "error: --trials must be at least 1\n")
     if args.command == "cancellation" and args.n < 3:
         parser.exit(EXIT_USAGE, "error: cancellation requires --n >= 3 (no triple exists)\n")
+    try:
+        prime_bits()
+    except ValueError as exc:
+        parser.exit(EXIT_USAGE, f"error: {exc}\n")
     cfg = _config_from_args(args)
     runner = {
         "verify-complex": cmd_verify_complex,

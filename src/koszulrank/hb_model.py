@@ -90,6 +90,9 @@ class FiltComplex:
                     raise ValueError("differential entry does not match the complex")
                 if not 0 <= row < len(self.generators) or not 0 <= col < len(self.generators):
                     raise ValueError("differential index out of range")
+                shift = self.generators[col].degree + 1 - self.generators[row].degree
+                if any(char.t_degree * sum(pm) != shift for pm in poly.terms):
+                    raise ValueError(f"d({self.generators[col].name}) has a term not of degree +1")
         self.koszul_descriptor: ComplexDescriptor | None = None
         self.index_sets: list[IndexSet] | None = None
 
@@ -191,67 +194,91 @@ class FiltComplex:
                 out.append((mono, idx))
         return out
 
-    def _diff_columns(self, basis, next_basis):
-        position = {b: i for i, b in enumerate(next_basis)}
+    def _coordinate_key(self, degree: int):
+        """An injective int key on the (mono, generator index) coordinates of one degree.
+
+        The key is linear in mono: key(mono + pm, g) = key(mono, 0) + key(pm, g)
+        whenever mono + pm is a coordinate of that degree.
+        """
+        lowest = min((g.degree for g in self.generators), default=0)
+        radix = max(1, (degree - lowest) // self.char.t_degree + 1)  # > any exponent
+        ngens = len(self.generators)
+
+        def key(mono, gidx: int) -> int:
+            code = 0
+            for e in mono:
+                code = code * radix + e
+            return code * ngens + gidx
+
+        return key
+
+    def degree_piece(self, degree: int):
+        """The differential on one graded degree, as sparse equations over the field.
+
+        Returns (basis, equations): basis is ``basis_at(degree)``, and
+        equations maps the ``_coordinate_key(degree + 1)`` of each coordinate
+        of degree + 1 that d reaches to the row of d there, over basis
+        positions: a coefficient dict, or in characteristic 2 a set of positions.
+        """
+        basis = self.basis_at(degree)
         two = self.char is Char.TWO
-        columns = []
-        for mono, gidx in basis:
-            col: dict = {}
-            for row, poly in self.diff.get(gidx, ()):
-                for pm, coeff in poly.terms.items():
-                    key = (tuple(a + b for a, b in zip(mono, pm)), row)
-                    pos = position[key]
-                    if two:
-                        if pos in col:
-                            del col[pos]
-                        else:
-                            col[pos] = 1
+        key = self._coordinate_key(degree + 1)
+        shifts = {
+            gidx: [(key(pm, row), coeff) for row, poly in entries for pm, coeff in poly.terms.items()]
+            for gidx, entries in self.diff.items()
+        }
+        equations: dict = {}
+        for j, (mono, gidx) in enumerate(basis):
+            base = key(mono, 0)
+            for shift, coeff in shifts.get(gidx, ()):
+                eq = equations.get(base + shift)
+                if eq is None:
+                    equations[base + shift] = {j} if two else {j: coeff}
+                elif two:
+                    eq ^= {j}
+                else:
+                    s = eq.get(j, 0) + coeff
+                    if s:
+                        eq[j] = s
                     else:
-                        s = col.get(pos, 0) + coeff
-                        if s:
-                            col[pos] = s
-                        else:
-                            del col[pos]
-            if col:
-                columns.append(set(col) if two else col)
-        return columns
+                        del eq[j]
+        return basis, equations
 
     def homology_dims(self, max_degree: int) -> dict[int, int]:
         """Cohomology dimension per degree by exact degreewise elimination."""
-        basis = self.basis_at(0)
         prev_rank = 0
         dims: dict[int, int] = {}
         for degree in range(max_degree + 1):
-            next_basis = self.basis_at(degree + 1)
-            rank = field_rank(self._diff_columns(basis, next_basis), self.char)
+            basis, equations = self.degree_piece(degree)
+            # popping hands each row over to the elimination, so the rows and
+            # the echelon form built from them never both exist in full
+            rank = field_rank((equations.pop(k) for k in list(equations)), self.char)
             dims[degree] = len(basis) - rank - prev_rank
-            basis = next_basis
             prev_rank = rank
         return dims
 
-    def unit_cocycle(self) -> dict | None:
-        """A degree-0 cocycle with augmentation 1, or None if none exists."""
-        basis = self.basis_at(0)
-        if not basis:
-            return None
-        next_basis = self.basis_at(1)
-        position = {b: i for i, b in enumerate(basis)}
-        rows: dict = {}
-        zero_mono = (0,) * self.nvars
-        for mono, gidx in basis:
-            j = position[(mono, gidx)]
-            for row, poly in self.diff.get(gidx, ()):
-                for pm, coeff in poly.terms.items():
-                    key = (tuple(a + b for a, b in zip(mono, pm)), row)
-                    rows.setdefault(key, {})[j] = coeff if self.char is Char.ZERO else 1
-        system = [(coeffs, 0) for coeffs in rows.values()]
-        aug_row = {}
-        for mono, gidx in basis:
-            if mono == zero_mono and self.augmentation[gidx]:
-                aug_row[position[(mono, gidx)]] = self.augmentation[gidx]
-        if not aug_row:
-            return None
-        system.append((aug_row, 1))
+    def solve_diff(self, degree: int, rhs: dict, augment_to=None) -> dict | None:
+        """An x in one graded degree with d(x) = rhs, or None if none exists.
+
+        With ``augment_to`` given, x must also augment to that value.
+        """
+        basis, equations = self.degree_piece(degree)
+        key = self._coordinate_key(degree + 1)
+        system = []
+        for gidx, poly in rhs.items():
+            for pm, coeff in poly.terms.items():
+                if self.generators[gidx].degree + self.char.t_degree * sum(pm) != degree + 1:
+                    return None  # d(x) has no term outside degree + 1
+                system.append((equations.pop(key(pm, gidx), {}), coeff))
+        system.extend((eq, 0) for eq in equations.values())
+        if augment_to is not None:
+            zero_mono = (0,) * self.nvars
+            aug_row = {
+                j: self.augmentation[gidx]
+                for j, (mono, gidx) in enumerate(basis)
+                if mono == zero_mono and self.augmentation[gidx]
+            }
+            system.append((aug_row, augment_to))
         solution = solve_linear(system, self.char)
         if solution is None:
             return None
@@ -262,6 +289,10 @@ class FiltComplex:
             prev = elem.get(gidx)
             elem[gidx] = term if prev is None else prev + term
         return {g: p for g, p in elem.items() if p.terms}
+
+    def unit_cocycle(self) -> dict | None:
+        """A degree-0 cocycle with augmentation 1, or None if none exists."""
+        return self.solve_diff(0, {}, augment_to=1)
 
     # ---------- serialization ----------
 
@@ -533,72 +564,19 @@ def construct_alpha(c: FiltComplex, m: int, max_degree: int | None = None) -> Co
     unit = c.unit_cocycle()
     if unit is None:
         raise ValueError("target complex has no degree-0 cocycle with augmentation 1")
-    images: list[dict] = [None] * len(source.generators)
-    by_index_set = {s: i for i, s in enumerate(source.index_sets)}
-    images[by_index_set[()]] = unit
-    for indices in source.index_sets:
-        if not indices:
-            continue
-        target_elem = c.zero_elem()
-        for j, i in enumerate(indices):
-            sign = 1 if (j % 2 == 0 or c.char is Char.TWO) else -1
-            poly = desc.t(i, m + 1).scale(sign)
-            prev = images[by_index_set[indices[:j] + indices[j + 1 :]]]
-            target_elem = c.elem_add(target_elem, c.elem_scale(prev, poly))
-        degree = desc.s_degree * len(indices)
-        solution = _solve_diff_equation(c, degree, target_elem)
+    images = [unit]  # s_{} comes first in the word-length order
+    for g in range(1, len(source.generators)):
+        rhs = c.zero_elem()
+        for row, poly in source.diff[g]:
+            rhs = c.elem_add(rhs, c.elem_scale(images[row], poly))
+        degree = source.generators[g].degree
+        solution = c.solve_diff(degree, rhs)
         if solution is None:
             raise LiftingError(
                 f"no lift at degree {degree} although cohomology vanishes there"
             )
-        images[by_index_set[indices]] = solution
+        images.append(solution)
     return ComplexMap(source, c, images)
-
-
-def _solve_diff_equation(c: FiltComplex, degree: int, rhs: dict) -> dict | None:
-    """Solve d(x) = rhs with x in one graded degree, exactly over the field."""
-    basis = c.basis_at(degree)
-    next_basis = c.basis_at(degree + 1)
-    position = {b: i for i, b in enumerate(basis)}
-    rows: dict = {}
-    for mono, gidx in basis:
-        j = position[(mono, gidx)]
-        for row, poly in c.diff.get(gidx, ()):
-            for pm, coeff in poly.terms.items():
-                key = (tuple(a + b for a, b in zip(mono, pm)), row)
-                bucket = rows.setdefault(key, {})
-                if c.char is Char.TWO:
-                    if j in bucket:
-                        del bucket[j]
-                    else:
-                        bucket[j] = 1
-                else:
-                    s = bucket.get(j, 0) + coeff
-                    if s:
-                        bucket[j] = s
-                    else:
-                        del bucket[j]
-    rhs_coords: dict = {}
-    for gidx, poly in rhs.items():
-        for pm, coeff in poly.terms.items():
-            rhs_coords[(pm, gidx)] = coeff
-    next_positions = {b for b in next_basis}
-    for key in rhs_coords:
-        if key not in next_positions:
-            return None  # right-hand side sticks out of the graded piece
-    system = []
-    for key in sorted(set(rows) | set(rhs_coords)):
-        system.append((rows.get(key, {}), rhs_coords.get(key, 0)))
-    solution = solve_linear(system, c.char)
-    if solution is None:
-        return None
-    elem: dict = {}
-    for j, value in solution.items():
-        mono, gidx = basis[j]
-        term = Poly.monomial(c.nvars, c.char, mono, value)
-        prev = elem.get(gidx)
-        elem[gidx] = term if prev is None else prev + term
-    return {g: p for g, p in elem.items() if p.terms}
 
 
 # ---------------------------------------------------------------------------

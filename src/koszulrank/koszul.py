@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .linalg import field_rank
-from .polynomials import Char, Poly, UndefinedDegreeError, monomials_of_degree
+from .linalg import field_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
+from .polynomials import Char, Poly, UndefinedDegreeError
 
 IndexSet = tuple  # strictly increasing tuple of 1-based variable indices
 
@@ -363,56 +363,15 @@ def default_max_degree(desc: ComplexDescriptor) -> int:
     return (desc.level + 1) * desc.nvars * desc.char.t_degree + desc.s_degree
 
 
-def graded_basis(desc: ComplexDescriptor, degree: int) -> list:
-    """Basis (mono, index_set) pairs of the given graded degree."""
-    td = desc.char.t_degree
-    sd = desc.s_degree
-    out = []
-    for k in range(desc.nvars + 1):
-        rem = degree - sd * k
-        if rem < 0 or rem % td:
-            continue
-        tdeg = rem // td
-        for indices in combinations(range(1, desc.nvars + 1), k):
-            for mono in monomials_of_degree(desc.nvars, tdeg):
-                out.append((mono, indices))
-    return out
-
-
-def _differential_rank(desc: ComplexDescriptor, degree: int, basis, next_basis) -> int:
-    """Rank of the differential restricted to one graded piece."""
-    position = {b: i for i, b in enumerate(next_basis)}
-    power = desc.level + 1
-    two = desc.char is Char.TWO
-    columns = []
-    for mono, indices in basis:
-        col: dict[int, int] = {}
-        for j, i in enumerate(indices):
-            shifted = list(mono)
-            shifted[i - 1] += power
-            key = (tuple(shifted), indices[:j] + indices[j + 1 :])
-            row = position[key]
-            col[row] = 1 if (two or j % 2 == 0) else -1
-        if col:
-            columns.append(set(col) if two else col)
-    return field_rank(columns, desc.char)
-
-
 def truncated_homology_dim(desc: ComplexDescriptor, max_degree: int | None = None) -> dict[int, int]:
     """Homology dimension per graded degree, by exact kernel/image ranks.
 
     When the truncation covers the top degree of the quotient ring the totals
-    sum to (level+1)^nvars.
+    sum to (level+1)^nvars.  This is the Koszul case of
+    :meth:`hb_model.FiltComplex.homology_dims`.
     """
+    from .hb_model import koszul_filt_complex  # function-level: avoids the koszul <-> hb_model import cycle
+
     if max_degree is None:
         max_degree = default_max_degree(desc)
-    basis = graded_basis(desc, 0)
-    prev_rank = 0
-    dims: dict[int, int] = {}
-    for degree in range(max_degree + 1):
-        next_basis = graded_basis(desc, degree + 1)
-        rank = _differential_rank(desc, degree, basis, next_basis)
-        dims[degree] = len(basis) - rank - prev_rank
-        basis = next_basis
-        prev_rank = rank
-    return dims
+    return koszul_filt_complex(desc).homology_dims(max_degree)

@@ -15,8 +15,9 @@ Three layers live here:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 
-from .polynomials import Char, Poly, UnluckyPrimeError, poly_divexact
+from .polynomials import Char, Poly, UnluckyPrimeError, eval_terms_mod_p, poly_divexact, power_tables
 
 __all__ = [
     "field_rank",
@@ -35,16 +36,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def field_rank(vectors, char: Char) -> int:
-    """Rank of a family of sparse vectors over the base field.
+def _reduce(vectors, char: Char) -> dict:
+    """Echelon form of a family of sparse vectors: leading coordinate -> pivot.
 
-    Characteristic 0 vectors are dicts mapping coordinate -> int/Fraction;
-    characteristic 2 vectors are sets (or dicts) of coordinates.  Vectors are
-    reduced against previously found pivots by leading coordinate, so nearly
-    block-diagonal families eliminate with almost no fill-in.
+    Each vector is reduced against the pivots found so far by its smallest
+    coordinate, so nearly block-diagonal families eliminate with almost no
+    fill-in.  Characteristic 2 vectors are kept as coordinate sets, reduced by
+    symmetric difference; characteristic 0 pivots are dicts scaled to lead 1.
     """
+    pivots: dict = {}
     if char is Char.TWO:
-        pivots: dict = {}
         for vec in vectors:
             row = set(vec)
             while row:
@@ -54,15 +55,16 @@ def field_rank(vectors, char: Char) -> int:
                     pivots[lead] = row
                     break
                 row ^= p
-        return len(pivots)
-    pivots = {}
+        return pivots
     for vec in vectors:
         row = dict(vec)
         while row:
             lead = min(row)
             p = pivots.get(lead)
             if p is None:
-                inv = Fraction(1) / Fraction(row[lead])
+                inv = Fraction(1) / row[lead]
+                if inv.denominator == 1:
+                    inv = inv.numerator  # unit pivots keep integer rows integral
                 pivots[lead] = {c: v * inv for c, v in row.items()}
                 break
             f = row[lead]
@@ -72,68 +74,44 @@ def field_rank(vectors, char: Char) -> int:
                     row[c] = s
                 else:
                     row.pop(c, None)
-    return len(pivots)
+    return pivots
 
 
-_RHS = object()  # sentinel column for right-hand sides
+def field_rank(vectors, char: Char) -> int:
+    """Rank of a family of sparse vectors over the base field.
+
+    Characteristic 0 vectors are dicts mapping coordinate -> int/Fraction;
+    characteristic 2 vectors are sets (or dicts) of coordinates.
+    """
+    return len(_reduce(vectors, char))
+
+
+_RHS = inf  # right-hand-side coordinate: sorts after every unknown index
 
 
 def solve_linear(rows, char: Char):
     """Solve a sparse linear system over the base field.
 
     ``rows`` is a list of (coeffs, rhs) pairs where coeffs maps unknown index
-    -> coefficient.  Returns one solution as a dict (free unknowns omitted,
-    i.e. set to zero), or None if the system is inconsistent.
+    (an int) -> coefficient; in characteristic 2 only the keys of coeffs
+    count.  Returns one solution as a dict (free unknowns omitted, i.e. set
+    to zero), or None if the system is inconsistent.
     """
     two = char is Char.TWO
-    pivots: dict = {}
-    for coeffs, rhs in rows:
-        if two:
-            row = dict.fromkeys(coeffs, 1)
-            row_rhs = rhs & 1
-        else:
-            row = dict(coeffs)
-            row_rhs = rhs
-        while row:
-            lead = min(row)
-            entry = pivots.get(lead)
-            if entry is None:
-                if two:
-                    pivots[lead] = (row, row_rhs)
-                else:
-                    inv = Fraction(1) / Fraction(row[lead])
-                    pivots[lead] = ({c: v * inv for c, v in row.items()}, row_rhs * inv)
-                break
-            prow, prhs = entry
-            if two:
-                for c in prow:
-                    if c in row:
-                        del row[c]
-                    else:
-                        row[c] = 1
-                row_rhs ^= prhs
-            else:
-                f = row[lead]
-                for c, v in prow.items():
-                    s = row.get(c, 0) - f * v
-                    if s:
-                        row[c] = s
-                    else:
-                        row.pop(c, None)
-                row_rhs = row_rhs - f * prhs
-        else:
-            if row_rhs:
-                return None  # 0 = nonzero: inconsistent
+    if two:
+        vectors = (set(coeffs) | {_RHS} if rhs & 1 else coeffs for coeffs, rhs in rows)
+    else:
+        vectors = ({**coeffs, _RHS: rhs} if rhs else coeffs for coeffs, rhs in rows)
+    pivots = _reduce(vectors, char)
+    if _RHS in pivots:
+        return None  # some row reduced to 0 = nonzero
     solution: dict = {}
     for lead in sorted(pivots, reverse=True):
-        prow, prhs = pivots[lead]
-        acc = prhs
-        for c, v in prow.items():
-            if c != lead and c in solution:
-                if two:
-                    acc ^= v & solution[c]
-                else:
-                    acc = acc - v * solution[c]
+        prow = pivots[lead]
+        if two:
+            acc = sum(1 for c in prow if c is _RHS or c in solution) & 1
+        else:
+            acc = prow.get(_RHS, 0) - sum(v * solution[c] for c, v in prow.items() if c in solution)
         if acc:
             solution[lead] = acc
     return solution
@@ -234,15 +212,7 @@ class GF2k:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^k)")
-        result = 1
-        base = a
-        e = self.order - 2
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return self.pow(a, self.order - 2)
 
     def pow(self, a: int, e: int) -> int:
         result = 1
@@ -305,23 +275,20 @@ def random_prime(bits: int, rng) -> int:
 def _bareiss_echelon(matrix: list[list[Poly]]):
     """Fraction-free forward elimination with full pivoting.
 
-    Returns (pivot count, row permutation, column permutation) where the
-    permutations map elimination position -> original index.  The input list
-    is consumed (copied internally).
+    Returns (pivot count, row permutation, column permutation, sign, last
+    pivot) where the permutations map elimination position -> original index
+    and sign is the parity of the swaps made.  The last pivot is the leading
+    principal minor of the permuted matrix of size pivot count, so on a
+    nonsingular square matrix sign * last pivot is the determinant, whatever
+    the pivot rule.  The input is not modified.
     """
-    if not matrix:
-        return 0, [], []
     rows = [list(r) for r in matrix]
     nrows, ncols = len(rows), len(rows[0])
     row_perm = list(range(nrows))
     col_perm = list(range(ncols))
-    some = None
-    for r in rows:
-        for entry in r:
-            some = entry
-            break
-        break
-    prev = Poly.one(some.nvars, some.char)
+    sample = rows[0][0]
+    prev = Poly.one(sample.nvars, sample.char)
+    sign = 1
     k = 0
     while k < min(nrows, ncols):
         best = None
@@ -336,10 +303,12 @@ def _bareiss_echelon(matrix: list[list[Poly]]):
         if pi != k:
             rows[k], rows[pi] = rows[pi], rows[k]
             row_perm[k], row_perm[pi] = row_perm[pi], row_perm[k]
+            sign = -sign
         if pj != k:
             for r in rows:
                 r[k], r[pj] = r[pj], r[k]
             col_perm[k], col_perm[pj] = col_perm[pj], col_perm[k]
+            sign = -sign
         pivot = rows[k][k]
         prev_is_one = prev.is_one()
         row_k = rows[k]
@@ -352,15 +321,14 @@ def _bareiss_echelon(matrix: list[list[Poly]]):
             row_i[k] = Poly.zero(pivot.nvars, pivot.char)
         prev = pivot
         k += 1
-    return k, row_perm, col_perm
+    return k, row_perm, col_perm, sign, prev
 
 
 def bareiss_rank(matrix: list[list[Poly]]) -> int:
     """Exact rank over the fraction field via fraction-free elimination."""
     if not matrix or not matrix[0]:
         return 0
-    k, _, _ = _bareiss_echelon(matrix)
-    return k
+    return _bareiss_echelon(matrix)[0]
 
 
 def bareiss_det(matrix: list[list[Poly]]) -> Poly:
@@ -370,39 +338,10 @@ def bareiss_det(matrix: list[list[Poly]]) -> Poly:
         raise ValueError("empty matrix has no determinant")
     if any(len(r) != n for r in matrix):
         raise ValueError("determinant requires a square matrix")
-    sample = matrix[0][0]
-    rows = [list(r) for r in matrix]
-    prev = Poly.one(sample.nvars, sample.char)
-    sign = 1
-    for k in range(n):
-        pi = pj = None
-        for i in range(k, n):
-            for j in range(k, n):
-                if rows[i][j].terms:
-                    pi, pj = i, j
-                    break
-            if pi is not None:
-                break
-        if pi is None:
-            return Poly.zero(sample.nvars, sample.char)
-        if pi != k:
-            rows[k], rows[pi] = rows[pi], rows[k]
-            sign = -sign
-        if pj != k:
-            for r in rows:
-                r[k], r[pj] = r[pj], r[k]
-            sign = -sign
-        pivot = rows[k][k]
-        prev_is_one = prev.is_one()
-        for i in range(k + 1, n):
-            head = rows[i][k]
-            for j in range(k + 1, n):
-                num = pivot * rows[i][j] - head * rows[k][j]
-                rows[i][j] = num if (prev_is_one or not num.terms) else poly_divexact(num, prev)
-            rows[i][k] = Poly.zero(sample.nvars, sample.char)
-        prev = pivot
-    det = rows[n - 1][n - 1]
-    return -det if (sign < 0 and sample.char is Char.ZERO) else det
+    k, _, _, sign, last = _bareiss_echelon(matrix)
+    if k < n:
+        return Poly.zero(last.nvars, last.char)
+    return -last if sign < 0 else last
 
 
 def kernel_vector(matrix: list[list[Poly]]):
@@ -414,7 +353,7 @@ def kernel_vector(matrix: list[list[Poly]]):
     if not matrix or not matrix[0]:
         return None
     ncols = len(matrix[0])
-    k, row_perm, col_perm = _bareiss_echelon(matrix)
+    k, row_perm, col_perm, _, _ = _bareiss_echelon(matrix)
     if k == ncols:
         return None
     sample = matrix[0][0]
@@ -532,12 +471,7 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
     """
     if not matrix or not matrix[0]:
         return 0
-    nvars = None
-    for row in matrix:
-        for e in row:
-            nvars = e.nvars
-            break
-        break
+    nvars = matrix[0][0].nvars
     max_exp = [0] * nvars
     for row in matrix:
         for e in row:
@@ -551,15 +485,10 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
             while True:
                 prime = random_prime(bits, rng)
                 point = [rng.randrange(1, prime) for _ in range(nvars)]
-                pows = []
-                for i in range(nvars):
-                    row = [1] * (max_exp[i] + 1)
-                    for e in range(1, max_exp[i] + 1):
-                        row[e] = row[e - 1] * point[i] % prime
-                    pows.append(row)
+                pows = power_tables(point, max_exp, lambda a, b: a * b % prime)
                 try:
                     dense = [
-                        [_eval_terms_mod_p(entry, pows, prime) for entry in row]
+                        [eval_terms_mod_p(entry, pows, prime) for entry in row]
                         for row in matrix
                     ]
                 except UnluckyPrimeError:
@@ -569,12 +498,7 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
         else:
             field = GF2k(bits)
             point = [field.random_nonzero(rng) for _ in range(nvars)]
-            pows = []
-            for i in range(nvars):
-                row = [1] * (max_exp[i] + 1)
-                for e in range(1, max_exp[i] + 1):
-                    row[e] = field.mul(row[e - 1], point[i])
-                pows.append(row)
+            pows = power_tables(point, max_exp, field.mul)
             dense = [[_eval_gf2k(entry, pows, field) for entry in row] for row in matrix]
             rank = _rank_gf2k(dense, field)
         if rank > best:
@@ -582,20 +506,3 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
         if best == upper:
             break
     return best
-
-
-def _eval_terms_mod_p(p: Poly, pows: list[list[int]], prime: int) -> int:
-    total = 0
-    for mono, coeff in p.terms.items():
-        if isinstance(coeff, Fraction):
-            den = coeff.denominator % prime
-            if den == 0:
-                raise UnluckyPrimeError(str(coeff))
-            c = coeff.numerator % prime * pow(den, -1, prime) % prime
-        else:
-            c = coeff % prime
-        for i, e in enumerate(mono):
-            if e:
-                c = c * pows[i][e] % prime
-        total = (total + c) % prime
-    return total

@@ -30,6 +30,8 @@ __all__ = [
     "grlex_key",
     "poly_divexact",
     "eval_mod_prime",
+    "eval_terms_mod_p",
+    "power_tables",
 ]
 
 
@@ -405,14 +407,24 @@ def eval_mod_prime(p: Poly, point: Sequence[int], prime: int) -> int:
         raise ValueError("eval_mod_prime applies to characteristic-0 polynomials only")
     if len(point) != p.nvars:
         raise ValueError(f"point length {len(point)} != nvars {p.nvars}")
-    maxes = p.max_exponents()
+    pows = power_tables(point, p.max_exponents(), lambda a, b: a * b % prime)
+    return eval_terms_mod_p(p, pows, prime)
+
+
+def power_tables(point: Sequence[int], tops: Sequence[int], mul) -> list[list[int]]:
+    """pows[i][e] = point[i]^e for e up to tops[i], multiplying with ``mul``."""
     pows = []
-    for i, top in enumerate(maxes):
-        v = point[i] % prime
+    for v, top in zip(point, tops):
         row = [1] * (top + 1)
         for e in range(1, top + 1):
-            row[e] = row[e - 1] * v % prime
+            row[e] = mul(row[e - 1], v)
         pows.append(row)
+    return pows
+
+
+def eval_terms_mod_p(p: Poly, pows: list[list[int]], prime: int) -> int:
+    """Value mod prime of a characteristic-0 polynomial at the point whose
+    power tables are ``pows`` (see :func:`power_tables`); no input checks."""
     total = 0
     for mono, coeff in p.terms.items():
         if isinstance(coeff, Fraction):

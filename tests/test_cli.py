@@ -1,8 +1,13 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import koszulrank
 from koszulrank.cli import (
     EXIT_FALSIFICATION,
     EXIT_OK,
@@ -112,3 +117,48 @@ def test_stdout_output(capsys):
     assert code == EXIT_OK
     captured = capsys.readouterr().out
     assert json.loads(captured.splitlines()[0])["passed"]
+
+
+def _run_subprocess(args, prime_bits=None):
+    """Run ``python -m koszulrank`` on this checkout; a hang fails by timeout."""
+    env = {k: v for k, v in os.environ.items() if k != "KOSZUL_PRIME_BITS"}
+    src = str(Path(koszulrank.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if prime_bits is not None:
+        env["KOSZUL_PRIME_BITS"] = prime_bits
+    return subprocess.run(
+        [sys.executable, "-m", "koszulrank", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+# sha256 of stdout, recorded before the graded-matrix core was merged
+GOLDEN_STDOUT = [
+    ("verify-complex --n 3 --m 1 --char 0",
+     "fc0b652860fa72f668daad5507583903950616f1037a6b3e5848b4be4e36cde1"),
+    ("verify-complex --n 3 --m 1 --char 2",
+     "e7d6fca422347c67b107e23567d9f7f1407db3d3256ea5496d008c0f10bcb9cf"),
+    ("certify --n 6 --char 0 --grading full --trials 5 --seed 7",
+     "bbee7ec04f6f39cb61c5e6e290d0bd6427815d546a99b4c4ff082562e0a367c5"),
+    ("certify --n 5 --char 2 --trials 3 --seed 7",
+     "d87c45b5a7cf018ade7b2db44ccb263f6dc5b8e80b0fcb032c80d6aa0a7fdcc7"),
+    ("cancellation --n 9 --trials 5 --seed 7",
+     "f6c8f8b320759cde75dad45b653a751618dc24c092699cffcf6e188ae7ce03a9"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_STDOUT)
+def test_golden_stdout(args, digest):
+    result = _run_subprocess(args.split())
+    assert result.returncode == EXIT_OK, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-3", "abc", ""])
+def test_bad_prime_bits_is_a_usage_error(value):
+    result = _run_subprocess(["certify", "--n", "2", "--trials", "1"], prime_bits=value)
+    assert result.returncode == EXIT_USAGE
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert "KOSZUL_PRIME_BITS" in line

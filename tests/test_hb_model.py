@@ -59,6 +59,17 @@ def test_level_violation_is_reported():
     assert any("level" in v for v in report.violations)
 
 
+def test_differential_must_have_degree_one():
+    with pytest.raises(ValueError, match="degree"):
+        FiltComplex(
+            1,
+            Char.ZERO,
+            [Generator("1", 0, 0), Generator("a", 2, 1)],
+            {1: [(0, Poly.variable(1, Char.ZERO, 1))]},  # deg t1 = 2, but d must raise degree by 1
+            [1, 0],
+        )
+
+
 def test_zero_differential_passes_lowering():
     c = FiltComplex(1, Char.ZERO, [Generator("1", 0, 0)], {}, [1])
     report = verify_filtration(c)

@@ -53,6 +53,32 @@ def test_solve_underdetermined_consistent():
     assert total == 2
 
 
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+def test_solve_linear_ignores_row_order(char):
+    rng = random.Random(7)
+    values = (1, -1, 2, Fraction(1, 2)) if char is Char.ZERO else (1,)
+    for _ in range(400):
+        nvars = rng.randint(1, 6)
+        x = {j: rng.choice(values) for j in range(nvars) if rng.random() < 0.6}
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            coeffs = {j: rng.choice(values) for j in rng.sample(range(nvars), rng.randint(0, nvars))}
+            if rng.random() < 0.8:  # consistent with x
+                rhs = sum(v * x.get(j, 0) for j, v in coeffs.items())
+            else:
+                rhs = rng.choice(values)
+            rows.append((coeffs, rhs % 2 if char is Char.TWO else rhs))
+        expected = solve_linear(rows, char)
+        if expected is not None:
+            for coeffs, rhs in rows:
+                lhs = sum(v * expected.get(j, 0) for j, v in coeffs.items())
+                assert (lhs - rhs) % 2 == 0 if char is Char.TWO else lhs == rhs
+        for _ in range(3):
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            assert solve_linear(shuffled, char) == expected
+
+
 def test_gf2k_field_axioms():
     field = GF2k(31)
     assert field.modulus == (1 << 31) | (1 << 3) | 1  # x^31 + x^3 + 1
