@@ -20,7 +20,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .koszul import ComplexDescriptor, IndexSet, KElem
 from .linalg import bareiss_rank, evaluation_rank
@@ -79,7 +79,9 @@ class ChainMap:
     The constructor checks only shape (every basis monomial has an image in
     the level-0 target); the algebraic laws are checked by
     :func:`verify_chain_map` so that deliberately broken maps can still be
-    built, e.g. as plain matrices for rank experiments.
+    built, e.g. as plain matrices for rank experiments.  ``images`` is a
+    read-only mapping: a plain dict for maps given image by image, or the
+    lazily computed images of :func:`homotopy_perturb`.
     """
 
     __slots__ = ("source", "target", "images")
@@ -89,14 +91,18 @@ class ChainMap:
             raise ValueError("source and target must share variables and characteristic")
         if target.level != 0:
             raise ValueError("target must be the level-0 complex")
-        fixed: dict[IndexSet, KElem] = {}
-        for indices in source.index_sets():
-            if indices not in images:
-                raise ValueError(f"missing image for basis monomial s{set(indices) or '{}'}")
-            img = images[indices]
-            if img.desc != target:
-                raise ValueError(f"image of {indices} lives in the wrong complex")
-            fixed[indices] = img
+        lazy = isinstance(images, _PerturbedImages)
+        if lazy and (images.base.source, images.base.target) == (source, target):
+            fixed = images  # keys and targets are right by construction
+        else:
+            fixed = {}
+            for indices in source.index_sets():
+                if indices not in images:
+                    raise ValueError(f"missing image for basis monomial s{set(indices) or '{}'}")
+                img = images[indices]
+                if img.desc != target:
+                    raise ValueError(f"image of {indices} lives in the wrong complex")
+                fixed[indices] = img
         self.source = source
         self.target = target
         self.images = fixed
@@ -229,25 +235,58 @@ def verify_chain_map(g: ChainMap) -> ChainMapReport:
     return ChainMapReport(unital, commutes, unital and commutes, failures)
 
 
+class _PerturbedImages(Mapping):
+    """Generator images x -> g(x) + d(h(x)) + h(d(x)), each computed when first read.
+
+    Keys are those of ``base.images`` (``index_sets()`` order) and every image
+    lies in ``base.target``.  Reading a value computes and caches that one
+    image, so a verdict that reads a few images pays only for those; reading
+    every value (``items()``, ``==``, serialization) computes them all.
+    """
+
+    __slots__ = ("base", "homotopy", "_cache")
+
+    def __init__(self, base: ChainMap, homotopy: Homotopy):
+        self.base = base
+        self.homotopy = homotopy
+        self._cache: dict[IndexSet, KElem] = {}
+
+    def __getitem__(self, indices: IndexSet) -> KElem:
+        img = self._cache.get(indices)
+        if img is None:
+            g, h = self.base, self.homotopy
+            img = g.images[indices]
+            val = h.values.get(indices)
+            if val is not None:
+                img = img + val.differential()
+            if indices:
+                img = img + h.applied_to(g.source.generator(indices).differential(), g.target)
+            self._cache[indices] = img
+        return img
+
+    def __contains__(self, indices) -> bool:
+        return indices in self.base.images
+
+    def __iter__(self):
+        return iter(self.base.images)
+
+    def __len__(self) -> int:
+        return len(self.base.images)
+
+
 def homotopy_perturb(g: ChainMap, h: Homotopy) -> ChainMap:
     """The perturbed map x -> g(x) + d(h(x)) + h(d(x)) on generators.
 
     Perturbation preserves the chain-map law and unitality, so the result of
-    perturbing a valid map is again valid by construction.
+    perturbing a valid map is again valid by construction.  Each image is
+    computed when it is first read (see :class:`_PerturbedImages`).
     """
     empty = h.values.get(())
     if empty is not None and not empty.is_zero():
         raise ValueError("perturbing with a homotopy that hits the unit breaks unitality")
-    images = {}
-    for indices in g.source.index_sets():
-        img = g.images[indices]
-        val = h.values.get(indices)
-        if val is not None:
-            img = img + val.differential()
-        if indices:
-            img = img + h.applied_to(g.source.generator(indices).differential(), g.target)
-        images[indices] = img
-    return ChainMap(g.source, g.target, images)
+    if any(val.desc != g.target for val in h.values.values()):
+        raise ValueError("homotopy values must lie in the target complex")
+    return ChainMap(g.source, g.target, _PerturbedImages(g, h))
 
 
 def is_degree_preserving(g: ChainMap, mode: GradingMode) -> bool:

@@ -8,8 +8,10 @@ Three layers live here:
   authoritative rank/determinant/kernel routines over the fraction field;
 * randomized evaluation ranks: matrices of polynomials are evaluated at
   random points of a large prime field (characteristic 0) or of GF(2^k)
-  (characteristic 2) and ranked there.  An evaluation rank never exceeds the
-  true rank, so a full evaluation rank certifies the exact answer.
+  (characteristic 2) and ranked there.  Only the nonzero entries are
+  evaluated, into sparse rows, and one leading-coordinate reduction loop
+  ranks them for both fields, sparsest rows first.  An evaluation rank never
+  exceeds the true rank, so a full evaluation rank certifies the exact answer.
 """
 
 from __future__ import annotations
@@ -206,13 +208,29 @@ class GF2k:
         cls._cache[bits] = self
         return self
 
+    def sub(self, a: int, b: int) -> int:
+        return a ^ b
+
     def mul(self, a: int, b: int) -> int:
         return _gf2_poly_mulmod(a, b, self.modulus, self.bits)
 
     def inv(self, a: int) -> int:
+        """Inverse by the extended Euclidean algorithm over GF(2)[x].
+
+        Invariant: u = g1 * a and v = g2 * a modulo the field polynomial.
+        """
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^k)")
-        return self.pow(a, self.order - 2)
+        u, v = a, self.modulus
+        g1, g2 = 1, 0
+        while u != 1:
+            shift = u.bit_length() - v.bit_length()
+            if shift < 0:
+                u, v, g1, g2 = v, u, g2, g1
+                shift = -shift
+            u ^= v << shift
+            g1 ^= g2 << shift
+        return g1
 
     def pow(self, a: int, e: int) -> int:
         result = 1
@@ -389,6 +407,24 @@ def kernel_vector(matrix: list[list[Poly]]):
 # ---------------------------------------------------------------------------
 
 
+class PrimeField:
+    """The integers modulo a prime, encoded as ints in [0, prime)."""
+
+    __slots__ = ("prime",)
+
+    def __init__(self, prime: int):
+        self.prime = prime
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.prime
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.prime
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.prime)
+
+
 def _eval_gf2k(p: Poly, pows: list[list[int]], field: GF2k) -> int:
     total = 0
     for mono in p.terms:
@@ -400,63 +436,33 @@ def _eval_gf2k(p: Poly, pows: list[list[int]], field: GF2k) -> int:
     return total
 
 
-def _rank_mod_p(dense: list[list[int]], p: int) -> int:
-    nrows = len(dense)
-    if nrows == 0:
-        return 0
-    ncols = len(dense[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if dense[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        dense[r], dense[piv] = dense[piv], dense[r]
-        inv = pow(dense[r][c], -1, p)
-        row_r = dense[r]
-        for i in range(r + 1, nrows):
-            f = dense[i][c]
-            if f:
-                f = f * inv % p
-                row_i = dense[i]
-                dense[i] = [(a - f * b) % p for a, b in zip(row_i, row_r)]
-        r += 1
-        if r == nrows:
-            break
-    return r
+def _sparse_rank(rows: list[dict], field, upper: int) -> int:
+    """Rank of sparse rows (column -> nonzero field element), consumed in order.
 
-
-def _rank_gf2k(dense: list[list[int]], field: GF2k) -> int:
-    nrows = len(dense)
-    if nrows == 0:
-        return 0
-    ncols = len(dense[0])
-    mul = field.mul
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if dense[i][c]:
-                piv = i
+    Each row is reduced by its smallest column against the pivots found so
+    far (scaled to lead 1) until it vanishes or becomes a new pivot.  Stops
+    once ``upper`` pivots are found.  ``field`` supplies sub, mul and inv.
+    """
+    sub, mul = field.sub, field.mul
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            p = pivots.get(lead)
+            if p is None:
+                inv = field.inv(row[lead])
+                pivots[lead] = {c: mul(v, inv) for c, v in row.items()}
                 break
-        if piv is None:
-            continue
-        dense[r], dense[piv] = dense[piv], dense[r]
-        inv = field.inv(dense[r][c])
-        row_r = dense[r]
-        for i in range(r + 1, nrows):
-            f = dense[i][c]
-            if f:
-                f = mul(f, inv)
-                row_i = dense[i]
-                dense[i] = [a ^ mul(f, b) for a, b in zip(row_i, row_r)]
-        r += 1
-        if r == nrows:
+            f = row[lead]
+            for c, v in p.items():
+                s = sub(row.get(c, 0), mul(f, v))
+                if s:
+                    row[c] = s
+                else:
+                    row.pop(c, None)
+        if len(pivots) == upper:
             break
-    return r
+    return len(pivots)
 
 
 def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, bits: int = 31) -> int:
@@ -468,13 +474,20 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
     the same characteristic for minors to keep vanishing).  The maximum rank
     over the given number of independent trials is returned; it is a certain
     lower bound for the true rank and equals it with overwhelming probability.
+
+    Only nonzero entries are evaluated, and rows are reduced in increasing
+    order of their nonzero count, which keeps fill-in low on sparse matrices.
     """
     if not matrix or not matrix[0]:
         return 0
     nvars = matrix[0][0].nvars
+    entries = sorted(
+        ([(j, e) for j, e in enumerate(row) if e.terms] for row in matrix),
+        key=len,
+    )
     max_exp = [0] * nvars
-    for row in matrix:
-        for e in row:
+    for row in entries:
+        for _, e in row:
             for i, m in enumerate(e.max_exponents()):
                 if m > max_exp[i]:
                     max_exp[i] = m
@@ -485,22 +498,22 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
             while True:
                 prime = random_prime(bits, rng)
                 point = [rng.randrange(1, prime) for _ in range(nvars)]
-                pows = power_tables(point, max_exp, lambda a, b: a * b % prime)
+                field = PrimeField(prime)
+                pows = power_tables(point, max_exp, field.mul)
                 try:
-                    dense = [
-                        [eval_terms_mod_p(entry, pows, prime) for entry in row]
-                        for row in matrix
+                    rows = [
+                        {j: v for j, e in row if (v := eval_terms_mod_p(e, pows, prime))}
+                        for row in entries
                     ]
                 except UnluckyPrimeError:
                     continue
                 break
-            rank = _rank_mod_p(dense, prime)
         else:
             field = GF2k(bits)
             point = [field.random_nonzero(rng) for _ in range(nvars)]
             pows = power_tables(point, max_exp, field.mul)
-            dense = [[_eval_gf2k(entry, pows, field) for entry in row] for row in matrix]
-            rank = _rank_gf2k(dense, field)
+            rows = [{j: v for j, e in row if (v := _eval_gf2k(e, pows, field))} for row in entries]
+        rank = _sparse_rank(rows, field, upper)
         if rank > best:
             best = rank
         if best == upper:

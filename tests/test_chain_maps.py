@@ -215,3 +215,50 @@ def test_homotopy_linear_extension():
     x = random_kelem(source, rng)
     y = random_kelem(source, rng)
     assert h.applied_to(x + y, target) == h.applied_to(x, target) + h.applied_to(y, target)
+
+
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+@pytest.mark.parametrize("grading", [GradingMode.FULL, GradingMode.PARITY, None])
+def test_perturbed_images_match_eager_formula(char, grading):
+    rng = random.Random(23)
+    g = random_chain_map(5, 1, char, rng, grading=grading)
+    base = iota(5, 1, char)
+    replay = random.Random(23)
+    h = random_homotopy(base.source, replay, grading=grading)
+    assert rng.getstate() == replay.getstate()
+    order = list(base.source.index_sets())
+    random.Random(0).shuffle(order)  # images must not depend on the read order
+    for indices in order:
+        x = base.source.generator(indices)
+        expected = (
+            base.apply(x)
+            + h.applied_to(x, base.target).differential()
+            + h.applied_to(x.differential(), base.target)
+        )
+        assert g.images[indices] == expected
+    assert list(g.images) == list(base.source.index_sets())
+    assert ChainMap.from_json_dict(g.to_json_dict()) == g
+
+
+def test_reading_one_perturbed_image_computes_only_that_image(monkeypatch):
+    calls = 0
+    original = KElem.differential
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    monkeypatch.setattr(KElem, "differential", counting)
+    g = random_chain_map(9, 1, Char.ZERO, random.Random(29))
+    g.images[(1, 2)]
+    assert 1 <= calls <= 4  # d(s_12), and d(h(s_12)) when h(s_12) != 0
+    g.images[(1, 2)]
+    assert calls <= 4  # cached
+
+
+def test_perturb_rejects_homotopy_in_wrong_complex():
+    g = iota(2, 1, Char.ZERO)
+    wrong = ComplexDescriptor(2, 1, Char.ZERO)
+    with pytest.raises(ValueError):
+        homotopy_perturb(g, Homotopy({(1,): wrong.one()}))

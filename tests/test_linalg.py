@@ -102,6 +102,20 @@ def test_gf2k_small_fields():
         assert field.pow(a, 7) == 1
 
 
+def test_gf2k_inverse_matches_fermat():
+    for bits in range(2, 11):
+        field = GF2k(bits)
+        for a in range(1, field.order):
+            assert field.inv(a) == field.pow(a, field.order - 2)
+    field = GF2k(31)
+    rng = random.Random(31)
+    for _ in range(2000):
+        a = field.random_nonzero(rng)
+        assert field.inv(a) == field.pow(a, field.order - 2)
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
+
+
 def test_random_prime():
     rng = random.Random(7)
     for bits in (20, 31):
@@ -199,3 +213,73 @@ def test_evaluation_rank_char2():
     assert evaluation_rank([[t1, t2], [t1 * t1, t1 * t2]], Char.TWO, rng) == 1
     assert bareiss_rank([[t1, t2], [t1 * t1, t1 * t2]]) == 1
     assert evaluation_rank([[one]], Char.TWO, rng) == 1
+
+
+def _random_entry(rng, nvars, char):
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        mono = tuple(rng.randint(0, 2) for _ in range(nvars))
+        terms[mono] = 1 if char is Char.TWO else rng.choice((1, -1, 2))
+    return Poly(nvars, char, terms)
+
+
+def _random_sparse_matrix(rng, char, nvars=3):
+    """Sparse polynomial matrix, possibly with zero rows and columns and
+    rows that are polynomial combinations of earlier rows."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+    zero = Poly.zero(nvars, char)
+    matrix = [
+        [_random_entry(rng, nvars, char) if rng.random() < 0.4 else zero for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    for i in range(1, nrows):
+        if rng.random() < 0.3:  # planted deficiency
+            row = [zero] * ncols
+            for k in rng.sample(range(i), rng.randint(1, i)):
+                q = _random_entry(rng, nvars, char)
+                row = [a + q * b for a, b in zip(row, matrix[k])]
+            matrix[i] = row
+    if rng.random() < 0.3:
+        matrix[rng.randrange(nrows)] = [zero] * ncols
+    if rng.random() < 0.3:
+        col = rng.randrange(ncols)
+        for row in matrix:
+            row[col] = zero
+    return matrix
+
+
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+def test_evaluation_rank_matches_exact_rank(char):
+    rng = random.Random(41)
+    deficient = 0
+    for _ in range(60):
+        matrix = _random_sparse_matrix(rng, char)
+        expected = bareiss_rank(matrix)
+        deficient += expected < min(len(matrix), len(matrix[0]))
+        assert evaluation_rank(matrix, char, rng) == expected
+    assert deficient >= 10  # the planted dependencies are exercised
+
+
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+def test_evaluation_rank_draw_order(char):
+    """Per trial: a random prime (characteristic 0), then one nonzero field
+    element per variable; a full rank stops after the first trial."""
+    nvars = 3
+    t1, t2, t3 = (Poly.variable(nvars, char, i) for i in (1, 2, 3))
+    deficient = [[t1, t2], [t1 * t3, t2 * t3]]
+    full = [[t1, t2], [t2, t3]]
+
+    def replay(seed, trials):
+        rng = random.Random(seed)
+        for _ in range(trials):
+            top = random_prime(31, rng) if char is Char.ZERO else 1 << 31
+            for _ in range(nvars):
+                rng.randrange(1, top)
+        return rng.getstate()
+
+    rng = random.Random(43)
+    assert evaluation_rank(deficient, char, rng, trials=4) == 1
+    assert rng.getstate() == replay(43, 4)
+    rng = random.Random(47)
+    assert evaluation_rank(full, char, rng, trials=4) == 2
+    assert rng.getstate() == replay(47, 1)
