@@ -24,12 +24,13 @@ from .chain_maps import (
     RankMethod,
     is_degree_preserving,
     matrix_of_images,
-    prime_bits,
     random_chain_map,
     rank as chain_map_rank,
+    restricted_rank,
 )
 from .koszul import ComplexDescriptor, KElem
-from .linalg import bareiss_rank, evaluation_rank, kernel_vector
+from .linalg import bareiss_rank, kernel_vector
+from .linalg import evaluation_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
 from .polynomials import Char, Poly
 
 __all__ = [
@@ -100,32 +101,24 @@ def certificate_generators(
         gens.append(elem)
         labels.append(label)
 
-    def add_triple_diffs() -> None:
-        for block in _blocks(n, 3):
+    def add_block_diffs(size: int) -> None:
+        for block in _blocks(n, size):
             add(desc.generator(block).differential(), f"d s{{{','.join(map(str, block))}}}")
 
     if family is CertificateFamily.TRIPLE_DIFFS:
-        add_triple_diffs()
+        add_block_diffs(3)
     elif family is CertificateFamily.BLOCK_DIFFS:
         if block_size is None or not 3 <= block_size:
             raise ValueError("block-diffs requires block_size >= 3")
-        for block in _blocks(n, block_size):
-            add(desc.generator(block).differential(), f"d s{{{','.join(map(str, block))}}}")
-    elif family is CertificateFamily.MIXED_BASE:
+        add_block_diffs(block_size)
+    elif family in (CertificateFamily.MIXED_BASE, CertificateFamily.MIXED_FULL):
         add(desc.one(), "1")
-        add(desc.generator((1,)), "s{1}")
-        for j in range(2, n + 1):
-            add(desc.generator((1, j)), f"s{{1,{j}}}")
-        add_triple_diffs()
-        for block in _blocks(n, 3):
-            add(desc.generator(block), f"s{{{','.join(map(str, block))}}}")
-    elif family is CertificateFamily.MIXED_FULL:
-        add(desc.one(), "1")
-        for i in range(1, n + 1):
+        singletons = n if family is CertificateFamily.MIXED_FULL else 1
+        for i in range(1, singletons + 1):
             add(desc.generator((i,)), f"s{{{i}}}")
         for j in range(2, n + 1):
             add(desc.generator((1, j)), f"s{{1,{j}}}")
-        add_triple_diffs()
+        add_block_diffs(3)
         for block in _blocks(n, 3):
             add(desc.generator(block), f"s{{{','.join(map(str, block))}}}")
     else:
@@ -154,7 +147,7 @@ class InjectivityReport:
     witness: list[Poly] | None = None
 
 
-def check_injectivity(g: ChainMap, sub: Submodule, rng=None, trials: int = 5) -> InjectivityReport:
+def check_injectivity(g: ChainMap, sub: Submodule, rng=None) -> InjectivityReport:
     """Whether the localized map is injective on the span of the generators.
 
     Assumes the generators themselves are independent (true by construction
@@ -163,13 +156,10 @@ def check_injectivity(g: ChainMap, sub: Submodule, rng=None, trials: int = 5) ->
     failure the witness is an exact kernel combination of the generators.
     """
     expected = len(sub.generators)
-    columns = [g.apply(gen) for gen in sub.generators]
-    matrix, _ = matrix_of_images(g.target, columns)
-    if rng is None:
-        rng = random.Random(0x5EED)
-    observed = evaluation_rank(matrix, g.target.char, rng, trials=trials, bits=prime_bits())
+    observed = restricted_rank(g, sub.generators, rng=rng)
     if observed == expected:
         return InjectivityReport(True, observed, expected)
+    matrix = matrix_of_images(g.target, [g.apply(gen) for gen in sub.generators])
     witness = kernel_vector(matrix)
     if witness is None:
         # the evaluation trials were all unlucky; elimination has the last word
@@ -223,15 +213,10 @@ class BoundReport:
         }
 
 
-def bound_report(
-    g: ChainMap,
-    method: RankMethod = RankMethod.MODULAR,
-    rng=None,
-    trials: int = 5,
-) -> BoundReport:
+def bound_report(g: ChainMap, method: RankMethod = RankMethod.MODULAR, rng=None) -> BoundReport:
     """Rank of the map compared against the improved and classical bounds."""
     n = g.source.nvars
-    r = chain_map_rank(g, method=method, rng=rng, trials=trials)
+    r = chain_map_rank(g, method=method, rng=rng)
     return BoundReport(
         n=n,
         m=g.source.level,

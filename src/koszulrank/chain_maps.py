@@ -173,9 +173,6 @@ class Homotopy:
         if empty is not None and not empty.is_zero():
             raise ValueError("a homotopy must vanish on the unit")
 
-    def value(self, indices: IndexSet, target: ComplexDescriptor) -> KElem:
-        return self.values.get(tuple(indices), target.zero())
-
     def applied_to(self, x: KElem, target: ComplexDescriptor) -> KElem:
         """Linear extension to an arbitrary source element."""
         acc = target.zero()
@@ -312,31 +309,33 @@ def is_degree_preserving(g: ChainMap, mode: GradingMode) -> bool:
     return True
 
 
-def matrix_of_images(target: ComplexDescriptor, columns: Sequence[KElem]):
+def matrix_of_images(target: ComplexDescriptor, columns: Sequence[KElem]) -> list[list[Poly]]:
     """Coefficient matrix of target elements over the exterior basis.
 
-    Rows are indexed by the target's index sets in (word-length, lex) order;
-    returns (matrix, row_index_sets).
+    Rows are indexed by the target's index sets in (word-length, lex) order.
     """
-    rows = list(target.index_sets())
     zero = Poly.zero(target.nvars, target.char)
-    matrix = [[col.coeffs.get(jset, zero) for col in columns] for jset in rows]
-    return matrix, rows
+    return [[col.coeffs.get(jset, zero) for col in columns] for jset in target.index_sets()]
 
 
-def _column_rank(target, columns, method: RankMethod, rng, trials: int) -> int:
-    matrix, _ = matrix_of_images(target, columns)
+def _column_rank(target: ComplexDescriptor, columns: Sequence[KElem], method: RankMethod, rng) -> int:
+    """Rank of the image columns: the one place a chain-map rank is decided.
+
+    The modular method evaluates in fields of ``prime_bits()`` bits, drawing
+    from ``rng`` (a fixed-seed generator when None).
+    """
+    matrix = matrix_of_images(target, columns)
     if method is RankMethod.EXACT:
         return bareiss_rank(matrix)
     if rng is None:
         rng = random.Random(0x5EED)
-    return evaluation_rank(matrix, target.char, rng, trials=trials, bits=prime_bits())
+    return evaluation_rank(matrix, target.char, rng, bits=prime_bits())
 
 
-def rank(g: ChainMap, method: RankMethod = RankMethod.MODULAR, rng=None, trials: int = 5) -> int:
+def rank(g: ChainMap, method: RankMethod = RankMethod.MODULAR, rng=None) -> int:
     """Rank of the map over the fraction field of the polynomial ring."""
     columns = [g.images[indices] for indices in g.source.index_sets()]
-    return _column_rank(g.target, columns, method, rng, trials)
+    return _column_rank(g.target, columns, method, rng)
 
 
 def restricted_rank(
@@ -344,7 +343,6 @@ def restricted_rank(
     generators: Sequence[KElem],
     method: RankMethod = RankMethod.MODULAR,
     rng=None,
-    trials: int = 5,
 ) -> int:
     """Rank of the images of the given source elements over the fraction field.
 
@@ -352,7 +350,7 @@ def restricted_rank(
     their span (provided the generators themselves are independent).
     """
     columns = [g.apply(gen) for gen in generators]
-    return _column_rank(g.target, columns, method, rng, trials)
+    return _column_rank(g.target, columns, method, rng)
 
 
 # ---------------------------------------------------------------------------

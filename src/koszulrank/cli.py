@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from .cancellation import contradiction_witness
 from .certificates import (
     CertificateFamily,
+    Submodule,
     bound_report,
     certificate_generators,
     check_injectivity,
-    grading_label,
     improved_bound,
 )
 from .chain_maps import (
@@ -149,15 +149,21 @@ def cmd_verify_complex(cfg: RunConfig) -> tuple[int, list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _certificate_suite(cfg: RunConfig):
-    suite = [
+def _certificate_suite(cfg: RunConfig) -> list[tuple[str, Submodule]]:
+    """The named, nonempty certificate families checked on every trial."""
+    families = [
         ("triple-diffs", CertificateFamily.TRIPLE_DIFFS, None),
         ("block-diffs-4", CertificateFamily.BLOCK_DIFFS, 4),
         ("block-diffs-5", CertificateFamily.BLOCK_DIFFS, 5),
         ("mixed-base", CertificateFamily.MIXED_BASE, None),
     ]
     if cfg.char is Char.ZERO and cfg.grading is GradingMode.FULL:
-        suite.append(("mixed-full", CertificateFamily.MIXED_FULL, None))
+        families.append(("mixed-full", CertificateFamily.MIXED_FULL, None))
+    suite = []
+    for name, family, block_size in families:
+        sub = certificate_generators(family, cfg.n, cfg.m, cfg.char, block_size=block_size)
+        if len(sub):
+            suite.append((name, sub))
     return suite
 
 
@@ -166,16 +172,14 @@ def cmd_certify(cfg: RunConfig) -> tuple[int, list[dict]]:
     min_rank = None
     falsifications = 0
     trials_run = 0
+    suite = _certificate_suite(cfg)
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg, trial)
         g = random_chain_map(cfg.n, cfg.m, cfg.char, rng, grading=cfg.grading)
         trials_run += 1
         certificates = {}
         falsified_here = False
-        for name, family, block_size in _certificate_suite(cfg):
-            sub = certificate_generators(family, cfg.n, cfg.m, cfg.char, block_size=block_size)
-            if not len(sub):
-                continue
+        for name, sub in suite:
             report = check_injectivity(g, sub, rng)
             entry = {
                 "injective": report.injective,
@@ -193,7 +197,7 @@ def cmd_certify(cfg: RunConfig) -> tuple[int, list[dict]]:
         if (
             cfg.char is Char.ZERO
             and cfg.grading is GradingMode.FULL
-            and is_degree_preserving(g, GradingMode.FULL)
+            and bound.grading == "full"
             and not bound.satisfies_A
         ):
             falsified_here = True

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .chain_maps import ChainMap
 from .koszul import ComplexDescriptor, KElem, IndexSet
 from .linalg import field_rank, solve_linear
-from .polynomials import Char, Poly, monomials_of_degree
+from .polynomials import Char, Poly, _norm_coeff, monomials_of_degree
 
 __all__ = [
     "Generator",
@@ -81,7 +81,9 @@ class FiltComplex:
             for col, entries in diff.items()
         }
         self.diff = {col: entries for col, entries in self.diff.items() if entries}
-        self.augmentation: list = [self._norm_scalar(v) for v in augmentation]
+        self.augmentation: list = [
+            _norm_coeff(char, Fraction(v) if isinstance(v, str) else v) for v in augmentation
+        ]
         if len(self.augmentation) != len(self.generators):
             raise ValueError("augmentation vector length must match the basis")
         for col, entries in self.diff.items():
@@ -95,17 +97,6 @@ class FiltComplex:
                     raise ValueError(f"d({self.generators[col].name}) has a term not of degree +1")
         self.koszul_descriptor: ComplexDescriptor | None = None
         self.index_sets: list[IndexSet] | None = None
-
-    def _norm_scalar(self, v):
-        if isinstance(v, str):
-            v = Fraction(v)
-        if self.char is Char.TWO:
-            if isinstance(v, Fraction):
-                v = v.numerator
-            return v & 1
-        if isinstance(v, Fraction) and v.denominator == 1:
-            return int(v)
-        return v
 
     def __eq__(self, other):
         if not isinstance(other, FiltComplex):
@@ -342,6 +333,7 @@ class FiltrationReport:
     augmentation_ok: bool
     surjection_ok: bool
     violations: list[str] = field(default_factory=list)
+    unit: dict | None = None  # the degree-0 cocycle with augmentation 1 that was found
 
     @property
     def passed(self) -> bool:
@@ -394,10 +386,13 @@ def verify_filtration(c: FiltComplex) -> FiltrationReport:
         if total:
             augmentation_ok = False
             violations.append(f"augmentation does not annihilate d({c.generators[col].name})")
-    surjection_ok = c.unit_cocycle() is not None
+    unit = c.unit_cocycle()
+    surjection_ok = unit is not None
     if not surjection_ok:
         violations.append("no degree-0 cocycle with augmentation 1")
-    return FiltrationReport(d_squared_ok, levels_ok, lowering_ok, augmentation_ok, surjection_ok, violations)
+    return FiltrationReport(
+        d_squared_ok, levels_ok, lowering_ok, augmentation_ok, surjection_ok, violations, unit
+    )
 
 
 class ComplexMap:
@@ -561,10 +556,7 @@ def construct_alpha(c: FiltComplex, m: int, max_degree: int | None = None) -> Co
             f"cohomology does not vanish above level {m}: first at degree {min(bad)}"
         )
     source = koszul_filt_complex(desc)
-    unit = c.unit_cocycle()
-    if unit is None:
-        raise ValueError("target complex has no degree-0 cocycle with augmentation 1")
-    images = [unit]  # s_{} comes first in the word-length order
+    images = [filt_report.unit]  # s_{} comes first in the word-length order
     for g in range(1, len(source.generators)):
         rhs = c.zero_elem()
         for row, poly in source.diff[g]:

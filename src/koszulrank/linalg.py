@@ -2,20 +2,23 @@
 
 Three layers live here:
 
-* sparse Gaussian elimination over the coefficient field (rationals or F2),
-  used for degreewise homology and for lifting problems;
+* sparse Gaussian elimination: one leading-coordinate loop, ``_reduce``,
+  ranks and solves over Q and F2 (degreewise homology, lifting problems)
+  and ranks evaluated matrices over F_p and GF(2^k); each field supplies
+  sub, mul and inv, and F2 rows are coordinate sets reduced by XOR;
 * fraction-free (Bareiss) elimination over the polynomial ring itself, the
   authoritative rank/determinant/kernel routines over the fraction field;
 * randomized evaluation ranks: matrices of polynomials are evaluated at
   random points of a large prime field (characteristic 0) or of GF(2^k)
-  (characteristic 2) and ranked there.  Only the nonzero entries are
-  evaluated, into sparse rows, and one leading-coordinate reduction loop
-  ranks them for both fields, sparsest rows first.  An evaluation rank never
+  (characteristic 2) and ranked there.  The characteristic only picks the
+  field; each field draws its point and evaluates the nonzero entries into
+  sparse rows, which are reduced sparsest first.  An evaluation rank never
   exceeds the true rank, so a full evaluation rank certifies the exact answer.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import inf
 
@@ -34,20 +37,66 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination over the coefficient field
+# sparse elimination over a field
 # ---------------------------------------------------------------------------
 
 
-def _reduce(vectors, char: Char) -> dict:
+class Rationals:
+    """The field Q on ints and Fractions.  ``inv`` keeps unit pivots integral,
+    so integer rows stay integer rows."""
+
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+
+    @staticmethod
+    def inv(a):
+        if a == 1 or a == -1:
+            return int(a)
+        inv = Fraction(1) / a
+        return inv.numerator if inv.denominator == 1 else inv
+
+
+class PrimeField:
+    """The integers modulo a prime, encoded as ints in [0, prime)."""
+
+    __slots__ = ("prime",)
+
+    def __init__(self, prime: int):
+        self.prime = prime
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.prime
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.prime
+
+    def inv(self, a: int) -> int:
+        return pow(a, -1, self.prime)
+
+    def random_nonzero(self, rng) -> int:
+        return rng.randrange(1, self.prime)
+
+    def evaluate(self, p: Poly, pows: list[list[int]]) -> int:
+        """Value of a characteristic-0 polynomial at the point whose power
+        tables are ``pows``; raises UnluckyPrimeError on a vanishing denominator."""
+        return eval_terms_mod_p(p, pows, self.prime)
+
+
+_Q = Rationals()
+_F2 = PrimeField(2)  # its vectors are coordinate sets, reduced by symmetric difference
+
+
+def _reduce(vectors, field, upper: int | None = None) -> dict:
     """Echelon form of a family of sparse vectors: leading coordinate -> pivot.
 
-    Each vector is reduced against the pivots found so far by its smallest
-    coordinate, so nearly block-diagonal families eliminate with almost no
-    fill-in.  Characteristic 2 vectors are kept as coordinate sets, reduced by
-    symmetric difference; characteristic 0 pivots are dicts scaled to lead 1.
+    Vectors map coordinate -> nonzero field element (coordinate sets over
+    F2).  Each is reduced by its smallest coordinate against the pivots found
+    so far, scaled to lead 1, until it vanishes or becomes a new pivot, so
+    nearly block-diagonal families eliminate with almost no fill-in.  Stops
+    once ``upper`` pivots are found.  ``field`` supplies sub, mul and inv.
     """
     pivots: dict = {}
-    if char is Char.TWO:
+    if field is _F2:
         for vec in vectors:
             row = set(vec)
             while row:
@@ -55,28 +104,35 @@ def _reduce(vectors, char: Char) -> dict:
                 p = pivots.get(lead)
                 if p is None:
                     pivots[lead] = row
+                    if len(pivots) == upper:
+                        return pivots
                     break
                 row ^= p
         return pivots
+    sub, mul, inv = field.sub, field.mul, field.inv
     for vec in vectors:
         row = dict(vec)
         while row:
             lead = min(row)
             p = pivots.get(lead)
             if p is None:
-                inv = Fraction(1) / row[lead]
-                if inv.denominator == 1:
-                    inv = inv.numerator  # unit pivots keep integer rows integral
-                pivots[lead] = {c: v * inv for c, v in row.items()}
+                f = inv(row[lead])
+                pivots[lead] = row if f == 1 else {c: mul(v, f) for c, v in row.items()}
+                if len(pivots) == upper:
+                    return pivots
                 break
             f = row[lead]
             for c, v in p.items():
-                s = row.get(c, 0) - f * v
+                s = sub(row.get(c, 0), mul(f, v))
                 if s:
                     row[c] = s
                 else:
                     row.pop(c, None)
     return pivots
+
+
+def _base_field(char: Char):
+    return _F2 if char is Char.TWO else _Q
 
 
 def field_rank(vectors, char: Char) -> int:
@@ -85,7 +141,7 @@ def field_rank(vectors, char: Char) -> int:
     Characteristic 0 vectors are dicts mapping coordinate -> int/Fraction;
     characteristic 2 vectors are sets (or dicts) of coordinates.
     """
-    return len(_reduce(vectors, char))
+    return len(_reduce(vectors, _base_field(char)))
 
 
 _RHS = inf  # right-hand-side coordinate: sorts after every unknown index
@@ -104,7 +160,7 @@ def solve_linear(rows, char: Char):
         vectors = (set(coeffs) | {_RHS} if rhs & 1 else coeffs for coeffs, rhs in rows)
     else:
         vectors = ({**coeffs, _RHS: rhs} if rhs else coeffs for coeffs, rhs in rows)
-    pivots = _reduce(vectors, char)
+    pivots = _reduce(vectors, _base_field(char))
     if _RHS in pivots:
         return None  # some row reduced to 0 = nonzero
     solution: dict = {}
@@ -244,6 +300,18 @@ class GF2k:
 
     def random_nonzero(self, rng) -> int:
         return rng.randrange(1, self.order)
+
+    def evaluate(self, p: Poly, pows: list[list[int]]) -> int:
+        """Value of a characteristic-2 polynomial at the point whose power
+        tables are ``pows``."""
+        total = 0
+        for mono in p.terms:
+            c = 1
+            for i, e in enumerate(mono):
+                if e:
+                    c = self.mul(c, pows[i][e])
+            total ^= c
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -407,64 +475,6 @@ def kernel_vector(matrix: list[list[Poly]]):
 # ---------------------------------------------------------------------------
 
 
-class PrimeField:
-    """The integers modulo a prime, encoded as ints in [0, prime)."""
-
-    __slots__ = ("prime",)
-
-    def __init__(self, prime: int):
-        self.prime = prime
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.prime
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.prime
-
-    def inv(self, a: int) -> int:
-        return pow(a, -1, self.prime)
-
-
-def _eval_gf2k(p: Poly, pows: list[list[int]], field: GF2k) -> int:
-    total = 0
-    for mono in p.terms:
-        c = 1
-        for i, e in enumerate(mono):
-            if e:
-                c = field.mul(c, pows[i][e])
-        total ^= c
-    return total
-
-
-def _sparse_rank(rows: list[dict], field, upper: int) -> int:
-    """Rank of sparse rows (column -> nonzero field element), consumed in order.
-
-    Each row is reduced by its smallest column against the pivots found so
-    far (scaled to lead 1) until it vanishes or becomes a new pivot.  Stops
-    once ``upper`` pivots are found.  ``field`` supplies sub, mul and inv.
-    """
-    sub, mul = field.sub, field.mul
-    pivots: dict[int, dict] = {}
-    for row in rows:
-        while row:
-            lead = min(row)
-            p = pivots.get(lead)
-            if p is None:
-                inv = field.inv(row[lead])
-                pivots[lead] = {c: mul(v, inv) for c, v in row.items()}
-                break
-            f = row[lead]
-            for c, v in p.items():
-                s = sub(row.get(c, 0), mul(f, v))
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-        if len(pivots) == upper:
-            break
-    return len(pivots)
-
-
 def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, bits: int = 31) -> int:
     """Probabilistic rank of a polynomial matrix over the fraction field.
 
@@ -494,26 +504,16 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
     best = 0
     upper = min(len(matrix), len(matrix[0]))
     for _ in range(trials):
-        if char is Char.ZERO:
-            while True:
-                prime = random_prime(bits, rng)
-                point = [rng.randrange(1, prime) for _ in range(nvars)]
-                field = PrimeField(prime)
-                pows = power_tables(point, max_exp, field.mul)
-                try:
-                    rows = [
-                        {j: v for j, e in row if (v := eval_terms_mod_p(e, pows, prime))}
-                        for row in entries
-                    ]
-                except UnluckyPrimeError:
-                    continue
-                break
-        else:
-            field = GF2k(bits)
+        while True:
+            field = PrimeField(random_prime(bits, rng)) if char is Char.ZERO else GF2k(bits)
             point = [field.random_nonzero(rng) for _ in range(nvars)]
             pows = power_tables(point, max_exp, field.mul)
-            rows = [{j: v for j, e in row if (v := _eval_gf2k(e, pows, field))} for row in entries]
-        rank = _sparse_rank(rows, field, upper)
+            try:
+                rows = [{j: v for j, e in row if (v := field.evaluate(e, pows))} for row in entries]
+            except UnluckyPrimeError:
+                continue  # a coefficient denominator vanished: draw a new prime
+            break
+        rank = len(_reduce(rows, field, upper))
         if rank > best:
             best = rank
         if best == upper:

@@ -223,19 +223,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> Poly:
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = Poly.one(self.nvars, self.char)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def scale(self, coeff) -> Poly:
         c = _norm_coeff(self.char, coeff)
         if not c:

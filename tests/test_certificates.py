@@ -16,6 +16,7 @@ from koszulrank.certificates import (
 )
 from koszulrank.chain_maps import GradingMode, RankMethod, iota, random_chain_map, rank, restricted_rank
 from koszulrank.koszul import ComplexDescriptor
+from koszulrank.linalg import random_prime
 from koszulrank.polynomials import Char
 
 
@@ -90,6 +91,21 @@ def test_injectivity_of_iota_on_mixed_full():
     sub = certificate_generators(CertificateFamily.MIXED_FULL, 3, 1, Char.ZERO)
     report = check_injectivity(g, sub, random.Random(0))
     assert report.injective and report.rank == 8
+
+
+def test_check_injectivity_draws_one_evaluation_trial(monkeypatch):
+    """A full-rank family costs one random prime and one point, from the caller's rng."""
+    monkeypatch.delenv("KOSZUL_PRIME_BITS", raising=False)
+    n = 4
+    g = random_chain_map(n, 1, Char.ZERO, random.Random(3), grading=GradingMode.FULL)
+    sub = certificate_generators(CertificateFamily.MIXED_BASE, n, 1, Char.ZERO)
+    rng = random.Random(11)
+    assert check_injectivity(g, sub, rng).injective
+    replay = random.Random(11)
+    prime = random_prime(31, replay)
+    for _ in range(n):
+        replay.randrange(1, prime)
+    assert rng.getstate() == replay.getstate()
 
 
 def test_zero_generator_produces_unit_witness():

@@ -144,6 +144,9 @@ GOLDEN_STDOUT = [
      "d87c45b5a7cf018ade7b2db44ccb263f6dc5b8e80b0fcb032c80d6aa0a7fdcc7"),
     ("cancellation --n 9 --trials 5 --seed 7",
      "f6c8f8b320759cde75dad45b653a751618dc24c092699cffcf6e188ae7ce03a9"),
+    # recorded before the rank paths were merged
+    ("certify --n 3 --char 0 --grading full --rank-method exact --trials 3 --seed 7",
+     "c390f287774060de3e16b23d40a00e61dd93a87ba44bdf9e5af964bb42d7f357"),
 ]
 
 

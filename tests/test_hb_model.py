@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +138,21 @@ def test_construct_alpha_on_level0_target():
         alpha = construct_alpha(c, 1)
         report = verify_alpha(alpha)
         assert report.passed, report.failures
+
+
+def test_construct_alpha_solves_the_unit_cocycle_once(monkeypatch):
+    calls = []
+    solve_diff = FiltComplex.solve_diff
+
+    def counting(self, degree, rhs, augment_to=None):
+        calls.append(augment_to)
+        return solve_diff(self, degree, rhs, augment_to)
+
+    monkeypatch.setattr(FiltComplex, "solve_diff", counting)
+    for c in (rank_two_model(1, Char.TWO), koszul_filt_complex(ComplexDescriptor(2, 0, Char.ZERO))):
+        calls.clear()
+        assert verify_alpha(construct_alpha(c, 1)).passed
+        assert calls.count(1) == 1
 
 
 def test_construct_alpha_on_rank_two_model():
@@ -298,6 +314,17 @@ def test_json_round_trip():
     ):
         again = FiltComplex.from_json(c.to_json())
         assert again == c
+
+
+def test_json_augmentation_scalars_follow_the_characteristic():
+    data = rank_two_model(1, Char.TWO).to_json_dict()
+    data["augmentation"] = ["1/2", "0"]
+    with pytest.raises(ValueError, match="even denominator"):
+        FiltComplex.from_json_dict(data)
+    data["augmentation"] = ["1/3", "0"]
+    assert FiltComplex.from_json_dict(data).augmentation == [1, 0]
+    gens = [Generator("1", 0, 0)]
+    assert FiltComplex(1, Char.ZERO, gens, {}, ["1/3"]).augmentation == [Fraction(1, 3)]
 
 
 def test_json_loader_rejects_invalid_complex():

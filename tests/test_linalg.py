@@ -34,6 +34,26 @@ def test_field_rank_f2():
     assert field_rank(rows, Char.TWO) == 2
 
 
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+def test_field_rank_matches_bareiss_on_constants(char):
+    rng = random.Random(13)
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [
+            {j: rng.choice((-3, -1, 1, 2, 5)) for j in range(ncols) if rng.random() < 0.35}
+            for _ in range(nrows)
+        ]
+        rows.append({})
+        rows.append(dict(rng.choice(rows)))
+        rng.shuffle(rows)
+        matrix = [[Poly.constant(1, char, row.get(j, 0)) for j in range(ncols)] for row in rows]
+        if char is Char.TWO:
+            vectors = [{j for j, v in row.items() if v % 2} for row in rows]
+        else:
+            vectors = rows
+        assert field_rank(vectors, char) == bareiss_rank(matrix)
+
+
 def test_solve_linear_rational():
     # x0 + x1 = 3, x1 = 1
     sol = solve_linear([({0: 1, 1: 1}, 3), ({1: 1}, 1)], Char.ZERO)
