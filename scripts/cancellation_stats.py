@@ -16,6 +16,7 @@ from collections import Counter
 
 from koszulrank.cancellation import contradiction_witness
 from koszulrank.chain_maps import random_chain_map
+from koszulrank.koszul import disjoint_blocks
 from koszulrank.polynomials import Char, Poly
 
 
@@ -30,7 +31,7 @@ def main() -> int:
                         help="homotopy support size (larger = more rest terms)")
     args = parser.parse_args()
     char = Char(args.char)
-    triples = [tuple(range(3 * k + 1, 3 * k + 4)) for k in range(args.n // 3)]
+    triples = disjoint_blocks(args.n)
     if not triples:
         parser.error("--n must be at least 3")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chain_maps import ChainMap
-from .koszul import KElem
+from .koszul import KElem, disjoint_blocks
 from .polynomials import Char, Poly
 
 __all__ = [
@@ -301,10 +301,6 @@ class TermClassification:
         return sorted(self.coeffs)
 
 
-def _canonical_triples(n: int) -> list:
-    return [tuple(range(3 * k + 1, 3 * k + 4)) for k in range(n // 3)]
-
-
 def classify_terms(g: ChainMap, coeffs: dict) -> TermClassification:
     """Split each vertex contribution into 3 regular and 3 rest summands.
 
@@ -314,7 +310,7 @@ def classify_terms(g: ChainMap, coeffs: dict) -> TermClassification:
     """
     n = g.source.nvars
     m = g.source.level
-    allowed = set(_canonical_triples(n))
+    allowed = set(disjoint_blocks(n))
     live: dict = {}
     for triple, poly in coeffs.items():
         triple = tuple(triple)

@@ -28,7 +28,7 @@ from .chain_maps import (
     rank as chain_map_rank,
     restricted_rank,
 )
-from .koszul import ComplexDescriptor, KElem
+from .koszul import ComplexDescriptor, KElem, disjoint_blocks
 from .linalg import bareiss_rank, kernel_vector
 from .linalg import evaluation_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
 from .polynomials import Char, Poly
@@ -76,10 +76,6 @@ class Submodule:
         return len(self.generators)
 
 
-def _blocks(n: int, size: int):
-    return [tuple(range(k * size + 1, k * size + size + 1)) for k in range(n // size)]
-
-
 def certificate_generators(
     family: CertificateFamily,
     n: int,
@@ -102,7 +98,7 @@ def certificate_generators(
         labels.append(label)
 
     def add_block_diffs(size: int) -> None:
-        for block in _blocks(n, size):
+        for block in disjoint_blocks(n, size):
             add(desc.generator(block).differential(), f"d s{{{','.join(map(str, block))}}}")
 
     if family is CertificateFamily.TRIPLE_DIFFS:
@@ -119,7 +115,7 @@ def certificate_generators(
         for j in range(2, n + 1):
             add(desc.generator((1, j)), f"s{{1,{j}}}")
         add_block_diffs(3)
-        for block in _blocks(n, 3):
+        for block in disjoint_blocks(n):
             add(desc.generator(block), f"s{{{','.join(map(str, block))}}}")
     else:
         raise ValueError(f"unknown certificate family {family}")

@@ -24,7 +24,7 @@ from collections.abc import Mapping, Sequence
 
 from .koszul import ComplexDescriptor, IndexSet, KElem
 from .linalg import bareiss_rank, evaluation_rank
-from .polynomials import Char, Poly
+from .polynomials import Char, Poly, add_into
 
 __all__ = [
     "GradingMode",
@@ -60,16 +60,18 @@ class RankMethod(Enum):
 def prime_bits() -> int:
     """Bit size for modular evaluation fields (env KOSZUL_PRIME_BITS, default 31).
 
-    Raises ValueError unless the value is an integer of at least 2: no prime
-    has a single bit, and GF(2) has no irreducible modulus of degree 1.
+    Raises ValueError unless the value is an integer from 2 to 64: no prime
+    has a single bit, GF(2) has no irreducible modulus of degree 1, and much
+    wider fields make the prime search and the GF(2^k) modulus search take
+    minutes without making a deficient answer noticeably less likely.
     """
     text = os.environ.get("KOSZUL_PRIME_BITS", "31")
     try:
         bits = int(text)
     except ValueError:
         bits = 0
-    if bits < 2:
-        raise ValueError(f"KOSZUL_PRIME_BITS must be an integer >= 2, got {text!r}")
+    if not 2 <= bits <= 64:
+        raise ValueError(f"KOSZUL_PRIME_BITS must be an integer from 2 to 64, got {text!r}")
     return bits
 
 
@@ -448,13 +450,7 @@ def random_homotopy(
                 continue
             jset, mono = term
             sign = 1 if source.char is Char.TWO else rng.choice((1, -1))
-            poly = Poly.monomial(source.nvars, source.char, mono, sign)
-            prev = coeffs.get(jset)
-            s = poly if prev is None else prev + poly
-            if s.terms:
-                coeffs[jset] = s
-            else:
-                coeffs.pop(jset, None)
+            add_into(coeffs, jset, Poly.monomial(source.nvars, source.char, mono, sign))
         if coeffs:
             values[indices] = KElem(target, coeffs)
     return Homotopy(values)

@@ -5,17 +5,19 @@ object) to stdout or to --out.  A fixed seed makes the output byte-identical
 across runs: each trial draws from its own generator derived from the master
 seed and the trial index, so results do not depend on execution order.
 
-Exit codes: 0 all checks passed, 1 check failure, 2 usage error,
+Exit codes: 0 all checks passed, 1 check failure, 2 usage error (including
+an --out path that cannot be opened for writing, checked before any trial),
 3 falsification event (a certified property failed on a verified map; the
 offending map is dumped in full).
 
-The environment variable KOSZUL_PRIME_BITS (default 31) sets the bit size of
-the random evaluation fields used by the modular rank method.
+The environment variable KOSZUL_PRIME_BITS (default 31, range 2..64) sets the
+bit size of the random evaluation fields used by the modular rank method.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -40,6 +42,7 @@ from .chain_maps import (
 )
 from .koszul import (
     ComplexDescriptor,
+    disjoint_blocks,
     random_homogeneous_kelem,
     random_kelem,
     truncated_homology_dim,
@@ -237,7 +240,7 @@ def cmd_certify(cfg: RunConfig) -> tuple[int, list[dict]]:
 
 
 def _random_coeffs(cfg: RunConfig, rng) -> dict:
-    triples = [tuple(range(3 * k + 1, 3 * k + 4)) for k in range(cfg.n // 3)]
+    triples = disjoint_blocks(cfg.n)
     while True:
         coeffs = {}
         for triple in triples:
@@ -313,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koszulrank",
         description="Exact Koszul-complex checks, rank certificates and cancellation analysis.",
-        epilog="KOSZUL_PRIME_BITS overrides the evaluation field size (default 31).",
+        epilog="KOSZUL_PRIME_BITS overrides the evaluation field size (default 31, range 2..64).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -375,13 +378,13 @@ def main(argv=None) -> int:
         "certify": cmd_certify,
         "cancellation": cmd_cancellation,
     }[cfg.command]
-    code, lines = runner(cfg)
-    text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
-    if cfg.out:
-        with open(cfg.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        sink = open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        parser.exit(EXIT_USAGE, f"error: cannot write --out {cfg.out}: {exc.strerror or exc}\n")
+    with sink as handle:
+        code, lines = runner(cfg)
+        handle.write("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
     return code
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .chain_maps import ChainMap
 from .koszul import ComplexDescriptor, KElem, IndexSet
 from .linalg import field_rank, solve_linear
-from .polynomials import Char, Poly, _norm_coeff, monomials_of_degree
+from .polynomials import Char, Poly, _norm_coeff, add_into, monomials_of_degree, scale_map
 
 __all__ = [
     "Generator",
@@ -123,23 +123,11 @@ class FiltComplex:
     def elem_add(self, a: dict, b: dict) -> dict:
         out = dict(a)
         for g, poly in b.items():
-            s = out.get(g)
-            s = poly if s is None else s + poly
-            if s.terms:
-                out[g] = s
-            else:
-                out.pop(g, None)
+            add_into(out, g, poly)
         return out
 
     def elem_scale(self, a: dict, poly: Poly) -> dict:
-        if not poly.terms:
-            return {}
-        out = {}
-        for g, coeff in a.items():
-            prod = poly * coeff
-            if prod.terms:
-                out[g] = prod
-        return out
+        return scale_map(a, poly)
 
     def apply_diff(self, a: dict) -> dict:
         out: dict = {}
@@ -148,12 +136,7 @@ class FiltComplex:
                 prod = coeff * poly
                 if not prod.terms:
                     continue
-                s = out.get(row)
-                s = prod if s is None else s + prod
-                if s.terms:
-                    out[row] = s
-                else:
-                    out.pop(row, None)
+                add_into(out, row, prod)
         return out
 
     def augment(self, a: dict):
@@ -276,10 +259,8 @@ class FiltComplex:
         elem: dict = {}
         for j, value in solution.items():
             mono, gidx = basis[j]
-            term = Poly.monomial(self.nvars, self.char, mono, value)
-            prev = elem.get(gidx)
-            elem[gidx] = term if prev is None else prev + term
-        return {g: p for g, p in elem.items() if p.terms}
+            add_into(elem, gidx, Poly.monomial(self.nvars, self.char, mono, value))
+        return elem
 
     def unit_cocycle(self) -> dict | None:
         """A degree-0 cocycle with augmentation 1, or None if none exists."""

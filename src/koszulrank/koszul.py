@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterator, Mapping
 
 from .linalg import field_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
-from .polynomials import Char, Poly, UndefinedDegreeError
+from .polynomials import Char, Poly, UndefinedDegreeError, add_into, scale_map
 
 IndexSet = tuple  # strictly increasing tuple of 1-based variable indices
 
@@ -26,6 +26,7 @@ __all__ = [
     "IndexSet",
     "ComplexDescriptor",
     "KElem",
+    "disjoint_blocks",
     "merge_index_sets",
     "truncated_homology_dim",
     "default_max_degree",
@@ -52,6 +53,14 @@ def merge_index_sets(left: IndexSet, right: IndexSet):
     inversions = sum(1 for a in left for b in right if a > b)
     merged = tuple(sorted(left + right))
     return merged, (-1) ** inversions
+
+
+def disjoint_blocks(n: int, size: int = 3) -> list[IndexSet]:
+    """The consecutive disjoint blocks (1..size), (size+1..2 size), ... within 1..n.
+
+    Leftover indices past the last whole block stay unused.
+    """
+    return [tuple(range(k * size + 1, k * size + size + 1)) for k in range(n // size)]
 
 
 @dataclass(frozen=True)
@@ -146,12 +155,7 @@ class KElem:
             return self
         out = dict(self.coeffs)
         for indices, poly in other.coeffs.items():
-            s = out.get(indices)
-            s = poly if s is None else s + poly
-            if s.terms:
-                out[indices] = s
-            else:
-                out.pop(indices, None)
+            add_into(out, indices, poly)
         return KElem._raw(self.desc, out)
 
     def __neg__(self) -> KElem:
@@ -163,14 +167,7 @@ class KElem:
         return self + (-other)
 
     def scale(self, poly: Poly) -> KElem:
-        if not poly.terms:
-            return self.desc.zero()
-        out = {}
-        for indices, coeff in self.coeffs.items():
-            prod = poly * coeff
-            if prod.terms:
-                out[indices] = prod
-        return KElem._raw(self.desc, out)
+        return KElem._raw(self.desc, scale_map(self.coeffs, poly))
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -199,12 +196,7 @@ class KElem:
                 prod = p * q
                 if sign < 0:
                     prod = -prod
-                s = out.get(indices)
-                s = prod if s is None else s + prod
-                if s.terms:
-                    out[indices] = s
-                else:
-                    out.pop(indices, None)
+                add_into(out, indices, prod)
         return KElem._raw(self.desc, out)
 
     def differential(self) -> KElem:
@@ -217,13 +209,7 @@ class KElem:
                 term = poly * desc.t(i, power)
                 if j % 2:
                     term = -term
-                rest = indices[:j] + indices[j + 1 :]
-                s = out.get(rest)
-                s = term if s is None else s + term
-                if s.terms:
-                    out[rest] = s
-                else:
-                    out.pop(rest, None)
+                add_into(out, indices[:j] + indices[j + 1 :], term)
         return KElem._raw(desc, out)
 
     def project_wordlength(self, length: int) -> KElem:
@@ -300,13 +286,7 @@ def random_kelem(desc: ComplexDescriptor, rng, max_terms: int = 4, max_exp: int 
         indices = tuple(sorted(rng.sample(range(1, desc.nvars + 1), size)))
         mono = tuple(rng.randint(0, max_exp) for _ in range(desc.nvars))
         coeff = 1 if desc.char is Char.TWO else rng.choice((1, -1, 2))
-        term = Poly.monomial(desc.nvars, desc.char, mono, coeff)
-        prev = coeffs.get(indices)
-        s = term if prev is None else prev + term
-        if s.terms:
-            coeffs[indices] = s
-        else:
-            coeffs.pop(indices, None)
+        add_into(coeffs, indices, Poly.monomial(desc.nvars, desc.char, mono, coeff))
     return KElem(desc, coeffs)
 
 
@@ -321,13 +301,7 @@ def random_homogeneous_kelem(desc: ComplexDescriptor, rng, max_terms: int = 3, m
         for _ in range(tdeg):
             exps[rng.randrange(desc.nvars)] += 1
         coeff = 1 if desc.char is Char.TWO else rng.choice((1, -1))
-        term = Poly.monomial(desc.nvars, desc.char, tuple(exps), coeff)
-        prev = coeffs.get(indices)
-        s = term if prev is None else prev + term
-        if s.terms:
-            coeffs[indices] = s
-        else:
-            coeffs.pop(indices, None)
+        add_into(coeffs, indices, Poly.monomial(desc.nvars, desc.char, tuple(exps), coeff))
     return KElem(desc, coeffs)
 
 

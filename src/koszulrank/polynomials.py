@@ -6,6 +6,11 @@ ints where possible, Fraction otherwise); in characteristic 2 a coefficient
 can only be 1, so a polynomial is effectively the set of its monomials.
 No floating point is used anywhere.
 
+Complex elements one level up (Koszul elements, elements of filtered free
+complexes, homotopy values) are in turn sparse maps from basis keys to
+nonzero polynomials; :func:`add_into` and :func:`scale_map` are the one
+place that keeps those maps free of zero values.
+
 The characteristic also fixes the grading: deg t_i = 1 in characteristic 2
 and deg t_i = 2 in characteristic 0.  An exterior generator of level m has
 degree m respectively 2m+1; that convention lives on :class:`Char` so every
@@ -14,10 +19,11 @@ module grades consistently.
 
 from __future__ import annotations
 
+import functools
 import re
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Mono = tuple  # exponent tuple, one non-negative int per variable
 
@@ -27,11 +33,14 @@ __all__ = [
     "Poly",
     "UndefinedDegreeError",
     "UnluckyPrimeError",
+    "add_into",
     "grlex_key",
+    "monomials_of_degree",
     "poly_divexact",
     "eval_mod_prime",
     "eval_terms_mod_p",
     "power_tables",
+    "scale_map",
 ]
 
 
@@ -359,6 +368,31 @@ class Poly:
         return cls(nvars, char, terms)
 
 
+def add_into(out: dict, key, poly: Poly) -> None:
+    """``out[key] += poly`` on a sparse map of nonzero polynomials.
+
+    The key is dropped when the sum vanishes, so ``out`` never holds a zero.
+    """
+    prev = out.get(key)
+    total = poly if prev is None else prev + poly
+    if total.terms:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def scale_map(coeffs: Mapping, poly: Poly) -> dict:
+    """``poly`` times every value of a sparse polynomial map, zero products dropped."""
+    out = {}
+    if not poly.terms:
+        return out
+    for key, coeff in coeffs.items():
+        prod = poly * coeff
+        if prod.terms:
+            out[key] = prod
+    return out
+
+
 def poly_divexact(a: Poly, b: Poly) -> Poly:
     """Exact polynomial division a / b; raises ValueError if b does not divide a."""
     a._check_compatible(b)
@@ -428,11 +462,14 @@ def eval_terms_mod_p(p: Poly, pows: list[list[int]], prime: int) -> int:
     return total
 
 
-def monomials_of_degree(nvars: int, total: int) -> Iterator[Mono]:
-    """All exponent tuples of the given total degree (deterministic order)."""
+@functools.cache
+def monomials_of_degree(nvars: int, total: int) -> tuple[Mono, ...]:
+    """All exponent tuples of the given total degree, in a fixed order
+    (first exponent ascending, then the rest recursively); memoized."""
     if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in monomials_of_degree(nvars - 1, total - first):
-            yield (first,) + rest
+        return ((total,),)
+    return tuple(
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in monomials_of_degree(nvars - 1, total - first)
+    )

@@ -157,7 +157,7 @@ def test_golden_stdout(args, digest):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("value", ["0", "1", "-3", "abc", ""])
+@pytest.mark.parametrize("value", ["0", "1", "-3", "abc", "", "65", "4096"])
 def test_bad_prime_bits_is_a_usage_error(value):
     result = _run_subprocess(["certify", "--n", "2", "--trials", "1"], prime_bits=value)
     assert result.returncode == EXIT_USAGE
@@ -165,3 +165,13 @@ def test_bad_prime_bits_is_a_usage_error(value):
     assert "Traceback" not in result.stderr
     (line,) = result.stderr.splitlines()
     assert "KOSZUL_PRIME_BITS" in line
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.jsonl"
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--n", "3", "--trials", "1", "--out", str(out)])
+    assert info.value.code == EXIT_USAGE
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and str(out) in line

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,11 @@ from koszulrank.polynomials import (
     Poly,
     UndefinedDegreeError,
     UnluckyPrimeError,
+    add_into,
     eval_mod_prime,
+    monomials_of_degree,
     poly_divexact,
+    scale_map,
 )
 
 from strategies import chars, polys
@@ -141,3 +145,60 @@ def test_divexact_recovers_factor(data):
 def test_divexact_rejects_inexact():
     with pytest.raises(ValueError):
         poly_divexact(t(1), t(2))
+
+
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+def test_add_into_inserts_and_drops(char):
+    x = t(1, char=char)
+    y = t(2, char=char)
+    out = {}
+    add_into(out, "a", x)
+    assert out == {"a": x}
+    add_into(out, "b", y)
+    add_into(out, "a", y)
+    assert out == {"a": x + y, "b": y}
+    add_into(out, "b", -y)  # in characteristic 2, -y is y and y + y cancels too
+    assert out == {"a": x + y}
+    add_into(out, "c", Poly.zero(2, char))
+    assert out == {"a": x + y}
+
+
+@given(st.data())
+def test_add_into_never_stores_zero(data):
+    char = data.draw(chars)
+    out = {}
+    expected = {}
+    for _ in range(data.draw(st.integers(0, 12))):
+        key = data.draw(st.integers(0, 3))
+        poly = data.draw(polys(nvars=2, char=char, max_terms=2, max_exp=1))
+        add_into(out, key, poly)
+        expected[key] = expected.get(key, Poly.zero(2, char)) + poly
+        assert all(p.terms for p in out.values())
+    assert out == {k: p for k, p in expected.items() if p.terms}
+
+
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+def test_scale_map(char):
+    coeffs = {"a": t(1, char=char), "b": t(1, char=char) + t(2, char=char)}
+    assert scale_map(coeffs, Poly.zero(2, char)) == {}
+    factor = t(2, char=char) + Poly.one(2, char)
+    assert scale_map(coeffs, factor) == {k: factor * p for k, p in coeffs.items()}
+    assert scale_map({}, factor) == {}
+
+
+def _reference_monomials(nvars, total):
+    if nvars == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _reference_monomials(nvars - 1, total - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("nvars, total", [(1, 0), (1, 4), (2, 3), (3, 0), (3, 4), (4, 5)])
+def test_monomials_of_degree(nvars, total):
+    monos = monomials_of_degree(nvars, total)
+    assert len(monos) == len(set(monos)) == comb(total + nvars - 1, nvars - 1)
+    assert all(len(m) == nvars and sum(m) == total for m in monos)
+    # basis positions follow this order, and they decide which lift solve_diff returns
+    assert list(monos) == list(_reference_monomials(nvars, total))
