@@ -14,10 +14,9 @@ import random
 import sys
 from collections import Counter
 
-from koszulrank.cancellation import contradiction_witness
+from koszulrank.cancellation import contradiction_witness, random_coeffs
 from koszulrank.chain_maps import random_chain_map
-from koszulrank.koszul import disjoint_blocks
-from koszulrank.polynomials import Char, Poly
+from koszulrank.polynomials import Char
 
 
 def main() -> int:
@@ -30,10 +29,15 @@ def main() -> int:
     parser.add_argument("--max-terms", type=int, default=3,
                         help="homotopy support size (larger = more rest terms)")
     args = parser.parse_args()
-    char = Char(args.char)
-    triples = disjoint_blocks(args.n)
-    if not triples:
+    if args.n < 3:
         parser.error("--n must be at least 3")
+    if args.m < 0:
+        parser.error("--m must be non-negative")
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
+    if args.max_terms < 0:
+        parser.error("--max-terms must be non-negative")
+    char = Char(args.char)
 
     edge_counts = Counter()
     sink_counts = Counter()
@@ -41,15 +45,7 @@ def main() -> int:
     for trial in range(args.trials):
         rng = random.Random(f"{args.seed}:{trial}")
         g = random_chain_map(args.n, args.m, char, rng, max_terms=args.max_terms)
-        coeffs = {}
-        while not any(p.terms for p in coeffs.values()):
-            for triple in triples:
-                terms = {}
-                for _ in range(rng.randint(0, 2)):
-                    mono = tuple(rng.randint(0, args.m) for _ in range(args.n))
-                    terms[mono] = 1 if char is Char.TWO else rng.choice((1, -1))
-                coeffs[triple] = Poly(args.n, char, terms)
-        coeffs = {t: p for t, p in coeffs.items() if p.terms}
+        coeffs = random_coeffs(args.n, args.m, char, rng)
         witness = contradiction_witness(g, coeffs)
         if not witness.nonzero or not witness.acyclic3:
             print(f"FALSIFICATION at trial {trial}; dumping map")

@@ -26,6 +26,10 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=25)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
+    if any(m < 0 for m in args.m):
+        parser.error("--m must be non-negative")
 
     header = f"{'n':>2} {'m':>2} {'char':>4} {'grading':>8} {'min rank':>9} {'improved':>9} {'classical':>10}"
     print(header)

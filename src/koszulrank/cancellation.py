@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .chain_maps import ChainMap
 from .koszul import KElem, disjoint_blocks
-from .polynomials import Char, Poly
+from .polynomials import Char, Poly, add_scaled
 
 __all__ = [
     "DiGraph",
@@ -35,6 +35,7 @@ __all__ = [
     "classify_terms",
     "build_cancellation_graph",
     "contradiction_witness",
+    "random_coeffs",
     "random_dag",
     "random_3_acyclic",
 ]
@@ -309,7 +310,6 @@ def classify_terms(g: ChainMap, coeffs: dict) -> TermClassification:
     least one nonzero coefficient must remain.
     """
     n = g.source.nvars
-    m = g.source.level
     allowed = set(disjoint_blocks(n))
     live: dict = {}
     for triple, poly in coeffs.items():
@@ -327,19 +327,11 @@ def classify_terms(g: ChainMap, coeffs: dict) -> TermClassification:
     rest = []
     for triple in sorted(live):
         rest_sum = g.target.zero()
-        for j, removed in enumerate(triple):
-            pair = triple[:j] + triple[j + 1 :]
-            sign = 1 if (j % 2 == 0 or g.source.char is Char.TWO) else -1
-            scale_poly = g.source.t(removed, m + 1)
+        for pair, coeff in g.source.boundary(triple):
+            pair_mono = g.source.monomial(pair)
+            regular_elem = KElem(g.target, {pair: pair_mono * coeff})
             image2 = g.images[pair].project_wordlength(2)
-            exps = [0] * n
-            for i in pair:
-                exps[i - 1] = m
-            pair_mono = Poly.monomial(n, g.source.char, exps, sign)
-            regular_elem = KElem(g.target, {pair: pair_mono * scale_poly})
-            rest_elem = (image2 - KElem(g.target, {pair: Poly.monomial(n, g.source.char, exps)})).scale(
-                scale_poly if sign > 0 else -scale_poly
-            )
+            rest_elem = (image2 - KElem(g.target, {pair: pair_mono})).scale(coeff)
             regular.append((triple, regular_elem))
             rest.append((triple, rest_elem))
             rest_sum = rest_sum + rest_elem
@@ -443,6 +435,24 @@ class WitnessReport:
     value: KElem = field(repr=False, default=None)
 
 
+def random_coeffs(n: int, m: int, char: Char, rng) -> dict:
+    """Nonzero random multipliers of the canonical triples, redrawn until one exists:
+    up to two monomials each, exponents in 0..m+1, coefficients +-1 (1 in char 2)."""
+    triples = disjoint_blocks(n)
+    if not triples:
+        raise ValueError("need n >= 3 for a canonical triple")
+    while True:
+        coeffs = {}
+        for triple in triples:
+            terms = {}
+            for _ in range(rng.randint(0, 2)):
+                mono = tuple(rng.randint(0, m + 1) for _ in range(n))
+                terms[mono] = 1 if char is Char.TWO else rng.choice((1, -1))
+            coeffs[triple] = Poly(n, char, terms)
+        if any(p.terms for p in coeffs.values()):
+            return {t: p for t, p in coeffs.items() if p.terms}
+
+
 def contradiction_witness(g: ChainMap, coeffs: dict) -> WitnessReport:
     """Expand the combination of triple boundaries and exhibit a survivor.
 
@@ -453,10 +463,11 @@ def contradiction_witness(g: ChainMap, coeffs: dict) -> WitnessReport:
     counting argument on the concrete instance.
     """
     tc = classify_terms(g, coeffs)
-    value = g.target.zero()
+    expansion: dict = {}
     for triple, poly in tc.coeffs.items():
         image = g.apply(g.source.generator(triple).differential())
-        value = value + image.project_wordlength(2).scale(poly)
+        add_scaled(expansion, image.project_wordlength(2).coeffs, poly)
+    value = KElem._raw(g.target, expansion)
     analysis = build_cancellation_graph(tc)
     acyclic3 = analysis.graph.is_l_acyclic(3)
     nonzero = not value.is_zero()

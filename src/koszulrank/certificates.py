@@ -15,7 +15,7 @@ kernel combination as a witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .chain_maps import (
@@ -197,16 +197,7 @@ class BoundReport:
     grading: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "char": self.char,
-            "rank": self.rank,
-            "theorem_A": self.theorem_A,
-            "eqn07": self.eqn07,
-            "satisfies_A": self.satisfies_A,
-            "grading": self.grading,
-        }
+        return asdict(self)
 
 
 def bound_report(g: ChainMap, method: RankMethod = RankMethod.MODULAR, rng=None) -> BoundReport:

@@ -24,7 +24,7 @@ from collections.abc import Mapping, Sequence
 
 from .koszul import ComplexDescriptor, IndexSet, KElem
 from .linalg import bareiss_rank, evaluation_rank
-from .polynomials import Char, Poly, add_into
+from .polynomials import Char, Poly, add_into, add_scaled
 
 __all__ = [
     "GradingMode",
@@ -124,10 +124,10 @@ class ChainMap:
         """Linear extension of the generator images."""
         if x.desc != self.source:
             raise ValueError("element does not live in the source complex")
-        acc = self.target.zero()
+        out: dict[IndexSet, Poly] = {}
         for indices, poly in x.coeffs.items():
-            acc = acc + self.images[indices].scale(poly)
-        return acc
+            add_scaled(out, self.images[indices].coeffs, poly)
+        return KElem._raw(self.target, out)
 
     # ---------- serialization ----------
 
@@ -177,12 +177,12 @@ class Homotopy:
 
     def applied_to(self, x: KElem, target: ComplexDescriptor) -> KElem:
         """Linear extension to an arbitrary source element."""
-        acc = target.zero()
+        out: dict[IndexSet, Poly] = {}
         for indices, poly in x.coeffs.items():
             val = self.values.get(indices)
             if val is not None:
-                acc = acc + val.scale(poly)
-        return acc
+                add_scaled(out, val.coeffs, poly)
+        return KElem._raw(target, out)
 
 
 @dataclass
@@ -201,13 +201,7 @@ def iota(n: int, m: int, char: Char) -> ChainMap:
     """The multiplicative baseline map s_I -> (prod_{i in I} t_i^m) s_I."""
     source = ComplexDescriptor(n, m, char)
     target = ComplexDescriptor(n, 0, char)
-    images = {}
-    for indices in source.index_sets():
-        exps = [0] * n
-        for i in indices:
-            exps[i - 1] = m
-        poly = Poly.monomial(n, char, exps)
-        images[indices] = KElem(target, {indices: poly})
+    images = {indices: KElem(target, {indices: source.monomial(indices)}) for indices in source.index_sets()}
     return ChainMap(source, target, images)
 
 
@@ -371,9 +365,7 @@ def pair_coefficient(g: ChainMap, i: int, j: int) -> Poly:
 
 def pair_has_multiplicative_form(g: ChainMap, i: int, j: int) -> bool:
     """Whether that coefficient equals t_i^m t_j^m exactly (reported, not required)."""
-    m = g.source.level
-    expected = g.source.t(i, m) * g.source.t(j, m)
-    return pair_coefficient(g, i, j) == expected
+    return pair_coefficient(g, i, j) == g.source.monomial((i, j))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .cancellation import contradiction_witness
+from .cancellation import contradiction_witness, random_coeffs
 from .certificates import (
     CertificateFamily,
     Submodule,
@@ -42,7 +42,6 @@ from .chain_maps import (
 )
 from .koszul import (
     ComplexDescriptor,
-    disjoint_blocks,
     random_homogeneous_kelem,
     random_kelem,
     truncated_homology_dim,
@@ -239,20 +238,6 @@ def cmd_certify(cfg: RunConfig) -> tuple[int, list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _random_coeffs(cfg: RunConfig, rng) -> dict:
-    triples = disjoint_blocks(cfg.n)
-    while True:
-        coeffs = {}
-        for triple in triples:
-            terms = {}
-            for _ in range(rng.randint(0, 2)):
-                mono = tuple(rng.randint(0, cfg.m + 1) for _ in range(cfg.n))
-                terms[mono] = 1 if cfg.char is Char.TWO else rng.choice((1, -1))
-            coeffs[triple] = Poly(cfg.n, cfg.char, terms)
-        if any(p.terms for p in coeffs.values()):
-            return {t: p for t, p in coeffs.items() if p.terms}
-
-
 def cmd_cancellation(cfg: RunConfig) -> tuple[int, list[dict]]:
     lines: list[dict] = []
     falsifications = 0
@@ -261,7 +246,7 @@ def cmd_cancellation(cfg: RunConfig) -> tuple[int, list[dict]]:
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg, trial)
         g = random_chain_map(cfg.n, cfg.m, cfg.char, rng, grading=cfg.grading)
-        coeffs = _random_coeffs(cfg, rng)
+        coeffs = random_coeffs(cfg.n, cfg.m, cfg.char, rng)
         witness = contradiction_witness(g, coeffs)
         trials_run += 1
         sink_valid = (

@@ -12,7 +12,9 @@ generators.  This module verifies instances of all three statements and
 constructs the inbound map by solving the lifting equations degreewise with
 exact linear algebra.
 
-Elements are sparse dicts mapping generator index -> polynomial coefficient.
+Elements are plain sparse dicts mapping generator index -> polynomial
+coefficient, updated through :func:`polynomials.add_into` and
+:func:`polynomials.add_scaled`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from .chain_maps import ChainMap
 from .koszul import ComplexDescriptor, KElem, IndexSet
 from .linalg import field_rank, solve_linear
-from .polynomials import Char, Poly, _norm_coeff, add_into, monomials_of_degree, scale_map
+from .polynomials import Char, Poly, _norm_coeff, add_into, add_scaled, monomials_of_degree, scale_map
 
 __all__ = [
     "Generator",
@@ -77,10 +79,10 @@ class FiltComplex:
         self.generators: list[Generator] = list(generators)
         # diff maps column generator index -> list of (row generator index, Poly)
         self.diff: dict[int, list] = {
-            col: [(row, poly) for row, poly in entries if poly.terms]
+            col: kept
             for col, entries in diff.items()
+            if (kept := [(row, poly) for row, poly in entries if poly.terms])
         }
-        self.diff = {col: entries for col, entries in self.diff.items() if entries}
         self.augmentation: list = [
             _norm_coeff(char, Fraction(v) if isinstance(v, str) else v) for v in augmentation
         ]
@@ -114,20 +116,8 @@ class FiltComplex:
 
     # ---------- elements ----------
 
-    def zero_elem(self) -> dict:
-        return {}
-
     def gen_elem(self, index: int) -> dict:
         return {index: Poly.one(self.nvars, self.char)}
-
-    def elem_add(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        for g, poly in b.items():
-            add_into(out, g, poly)
-        return out
-
-    def elem_scale(self, a: dict, poly: Poly) -> dict:
-        return scale_map(a, poly)
 
     def apply_diff(self, a: dict) -> dict:
         out: dict = {}
@@ -330,10 +320,10 @@ class FiltrationReport:
 def verify_filtration(c: FiltComplex) -> FiltrationReport:
     """Check the complex axioms: d^2 = 0, level bookkeeping, lowering, augmentation."""
     violations: list[str] = []
+    d_cols = [c.apply_diff(c.gen_elem(col)) for col in range(len(c.generators))]
     d_squared_ok = True
-    for col in range(len(c.generators)):
-        dd = c.apply_diff(c.apply_diff(c.gen_elem(col)))
-        if dd:
+    for col, d_col in enumerate(d_cols):
+        if c.apply_diff(d_col):
             d_squared_ok = False
             violations.append(f"d(d({c.generators[col].name})) != 0")
     top = c.max_level()
@@ -355,16 +345,8 @@ def verify_filtration(c: FiltComplex) -> FiltrationReport:
         if c.augmentation[idx] and gen.degree != 0:
             augmentation_ok = False
             violations.append(f"augmentation supported on {gen.name} of degree {gen.degree}")
-    zero_mono = (0,) * c.nvars
-    for col in range(len(c.generators)):
-        total = 0
-        for row, poly in c.diff.get(col, ()):
-            constant = poly.terms.get(zero_mono)
-            if constant:
-                total = total + constant * c.augmentation[row]
-        if c.char is Char.TWO:
-            total &= 1
-        if total:
+    for col, d_col in enumerate(d_cols):
+        if c.augment(d_col):
             augmentation_ok = False
             violations.append(f"augmentation does not annihilate d({c.generators[col].name})")
     unit = c.unit_cocycle()
@@ -391,9 +373,9 @@ class ComplexMap:
         ]
 
     def apply(self, elem: dict) -> dict:
-        out = self.target.zero_elem()
+        out: dict = {}
         for g, poly in elem.items():
-            out = self.target.elem_add(out, self.target.elem_scale(self.images[g], poly))
+            add_scaled(out, self.images[g], poly)
         return out
 
     def commutes_with_diff(self) -> list[str]:
@@ -427,15 +409,10 @@ def koszul_filt_complex(desc: ComplexDescriptor) -> FiltComplex:
         )
         for indices in index_sets
     ]
-    diff: dict[int, list] = {}
-    for indices in index_sets:
-        entries = []
-        for j, i in enumerate(indices):
-            sign = 1 if (j % 2 == 0 or desc.char is Char.TWO) else -1
-            poly = desc.t(i, desc.level + 1).scale(sign)
-            entries.append((position[indices[:j] + indices[j + 1 :]], poly))
-        if entries:
-            diff[position[indices]] = entries
+    diff = {
+        position[indices]: [(position[face], coeff) for face, coeff in desc.boundary(indices)]
+        for indices in index_sets
+    }
     augmentation = [1 if not indices else 0 for indices in index_sets]
     c = FiltComplex(desc.nvars, desc.char, gens, diff, augmentation)
     c.koszul_descriptor = desc
@@ -503,7 +480,7 @@ def verify_alpha(a: ComplexMap, max_degree: int | None = None) -> AlphaReport:
         failures.append("augmentation of the image of 1 is not 1")
     else:
         for i in range(1, src.nvars + 1):
-            scaled = a.target.elem_scale(unit_image, Poly.variable(src.nvars, src.char, i))
+            scaled = scale_map(unit_image, Poly.variable(src.nvars, src.char, i))
             if a.target.augment(scaled) != 0:
                 projection_ok = False
                 failures.append(f"class of t{i} is not killed by the augmentation")
@@ -539,9 +516,9 @@ def construct_alpha(c: FiltComplex, m: int, max_degree: int | None = None) -> Co
     source = koszul_filt_complex(desc)
     images = [filt_report.unit]  # s_{} comes first in the word-length order
     for g in range(1, len(source.generators)):
-        rhs = c.zero_elem()
+        rhs: dict = {}
         for row, poly in source.diff[g]:
-            rhs = c.elem_add(rhs, c.elem_scale(images[row], poly))
+            add_scaled(rhs, images[row], poly)
         degree = source.generators[g].degree
         solution = c.solve_diff(degree, rhs)
         if solution is None:

@@ -5,6 +5,7 @@ ring with basis the exterior monomials s_I (I a strictly increasing index
 set), equipped with the differential sending each degree-one generator s_i
 to t_i^(m+1) and extended as a derivation.  Removing the j-th smallest index
 of I contributes the sign (-1)^(j-1); in characteristic 2 all signs are +1.
+:meth:`ComplexDescriptor.boundary` is the one definition of that rule.
 
 Elements are sparse maps from index sets to polynomial coefficients.  All
 values are immutable after construction and safe to share.
@@ -12,6 +13,7 @@ values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -98,6 +100,28 @@ class ComplexDescriptor:
 
     def t(self, index: int, exponent: int = 1) -> Poly:
         return Poly.t_power(self.nvars, self.char, index, exponent)
+
+    def boundary(self, indices: IndexSet) -> list[tuple[IndexSet, Poly]]:
+        """The terms of d(s_I): (I without its j-th index i, (-1)^j t_i^(level+1)), j = 0, 1, ...
+
+        In characteristic 2 every sign is +, since negation is the identity there.
+        """
+        return [
+            (indices[:j] + indices[j + 1 :], self._signed_power(i, j % 2))
+            for j, i in enumerate(indices)
+        ]
+
+    @functools.cache
+    def _signed_power(self, index: int, odd: int) -> Poly:
+        power = self.t(index, self.level + 1)
+        return -power if odd else power
+
+    def monomial(self, indices: IndexSet) -> Poly:
+        """The baseline coefficient prod_{i in I} t_i^level of s_I."""
+        exps = [0] * self.nvars
+        for i in indices:
+            exps[i - 1] = self.level
+        return Poly.monomial(self.nvars, self.char, exps)
 
 
 class KElem:
@@ -202,14 +226,10 @@ class KElem:
     def differential(self) -> KElem:
         """Apply the differential; each term loses exactly one exterior index."""
         desc = self.desc
-        power = desc.level + 1
         out: dict[IndexSet, Poly] = {}
         for indices, poly in self.coeffs.items():
-            for j, i in enumerate(indices):
-                term = poly * desc.t(i, power)
-                if j % 2:
-                    term = -term
-                add_into(out, indices[:j] + indices[j + 1 :], term)
+            for face, coeff in desc.boundary(indices):
+                add_into(out, face, poly * coeff)
         return KElem._raw(desc, out)
 
     def project_wordlength(self, length: int) -> KElem:

@@ -362,11 +362,12 @@ def _bareiss_echelon(matrix: list[list[Poly]]):
     """Fraction-free forward elimination with full pivoting.
 
     Returns (pivot count, row permutation, column permutation, sign, last
-    pivot) where the permutations map elimination position -> original index
-    and sign is the parity of the swaps made.  The last pivot is the leading
-    principal minor of the permuted matrix of size pivot count, so on a
-    nonsingular square matrix sign * last pivot is the determinant, whatever
-    the pivot rule.  The input is not modified.
+    pivot, rows) where the permutations map elimination position -> original
+    index and sign is the parity of the swaps made.  The last pivot is the
+    leading principal minor of the permuted matrix of size pivot count, so on
+    a nonsingular square matrix sign * last pivot is the determinant, whatever
+    the pivot rule.  The first pivot-count ``rows`` are the permuted echelon
+    form, pivots on the diagonal.  The input is not modified.
     """
     rows = [list(r) for r in matrix]
     nrows, ncols = len(rows), len(rows[0])
@@ -407,7 +408,7 @@ def _bareiss_echelon(matrix: list[list[Poly]]):
             row_i[k] = Poly.zero(pivot.nvars, pivot.char)
         prev = pivot
         k += 1
-    return k, row_perm, col_perm, sign, prev
+    return k, row_perm, col_perm, sign, prev, rows
 
 
 def bareiss_rank(matrix: list[list[Poly]]) -> int:
@@ -424,7 +425,7 @@ def bareiss_det(matrix: list[list[Poly]]) -> Poly:
         raise ValueError("empty matrix has no determinant")
     if any(len(r) != n for r in matrix):
         raise ValueError("determinant requires a square matrix")
-    k, _, _, sign, last = _bareiss_echelon(matrix)
+    k, _, _, sign, last, _ = _bareiss_echelon(matrix)
     if k < n:
         return Poly.zero(last.nvars, last.char)
     return -last if sign < 0 else last
@@ -434,31 +435,29 @@ def kernel_vector(matrix: list[list[Poly]]):
     """One exact kernel vector of a polynomial matrix, or None if injective.
 
     The vector has entries in the polynomial ring (Cramer-style determinant
-    scaling), indexed like the columns of the input.
+    scaling), indexed like the columns of the input: the smallest non-pivot
+    column gets the last pivot, the other non-pivot columns zero, and exact
+    back-substitution over the echelon rows gives the pivot columns.
     """
     if not matrix or not matrix[0]:
         return None
     ncols = len(matrix[0])
-    k, row_perm, col_perm, _, _ = _bareiss_echelon(matrix)
+    k, _, col_perm, _, last, rows = _bareiss_echelon(matrix)
     if k == ncols:
         return None
     sample = matrix[0][0]
-    pivot_rows = [row_perm[i] for i in range(k)]
-    pivot_cols = [col_perm[i] for i in range(k)]
-    free_col = min(c for c in range(ncols) if c not in set(pivot_cols))
-
-    def minor(cols: list[int]) -> Poly:
-        if not cols:
-            return Poly.one(sample.nvars, sample.char)
-        sub = [[matrix[r][c] for c in cols] for r in pivot_rows]
-        return bareiss_det(sub)
-
-    vec = [Poly.zero(sample.nvars, sample.char) for _ in range(ncols)]
-    vec[free_col] = minor(pivot_cols)
-    for pos, col in enumerate(pivot_cols):
-        swapped = list(pivot_cols)
-        swapped[pos] = free_col
-        vec[col] = -minor(swapped)
+    free_pos = col_perm.index(min(col_perm[k:]))
+    # x[pos] is the entry of the column at elimination position pos
+    x = [Poly.zero(sample.nvars, sample.char)] * ncols
+    x[free_pos] = last
+    for i in reversed(range(k)):
+        row = rows[i]
+        acc = Poly.zero(sample.nvars, sample.char)
+        for pos in [free_pos, *range(i + 1, k)]:
+            if row[pos].terms and x[pos].terms:
+                acc = acc + row[pos] * x[pos]
+        x[i] = -poly_divexact(acc, row[i])
+    vec = [v for _, v in sorted(zip(col_perm, x))]  # column indices are distinct
     # sanity: the vector must lie in the kernel of every row
     for row in matrix:
         acc = Poly.zero(sample.nvars, sample.char)

@@ -8,8 +8,8 @@ No floating point is used anywhere.
 
 Complex elements one level up (Koszul elements, elements of filtered free
 complexes, homotopy values) are in turn sparse maps from basis keys to
-nonzero polynomials; :func:`add_into` and :func:`scale_map` are the one
-place that keeps those maps free of zero values.
+nonzero polynomials; :func:`add_into`, :func:`add_scaled` and
+:func:`scale_map` are the one place that keeps those maps free of zero values.
 
 The characteristic also fixes the grading: deg t_i = 1 in characteristic 2
 and deg t_i = 2 in characteristic 0.  An exterior generator of level m has
@@ -34,6 +34,7 @@ __all__ = [
     "UndefinedDegreeError",
     "UnluckyPrimeError",
     "add_into",
+    "add_scaled",
     "grlex_key",
     "monomials_of_degree",
     "poly_divexact",
@@ -105,15 +106,7 @@ class Poly:
                     raise ValueError(f"exponent tuple {mono} has wrong length for nvars={nvars}")
                 c = _norm_coeff(char, coeff)
                 if c:
-                    prev = canonical.get(mono)
-                    if prev is None:
-                        canonical[mono] = c
-                    else:
-                        s = _norm_coeff(char, prev + c)
-                        if s:
-                            canonical[mono] = s
-                        else:
-                            del canonical[mono]
+                    canonical[mono] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "char", char)
         object.__setattr__(self, "terms", canonical)
@@ -381,15 +374,24 @@ def add_into(out: dict, key, poly: Poly) -> None:
         out.pop(key, None)
 
 
-def scale_map(coeffs: Mapping, poly: Poly) -> dict:
-    """``poly`` times every value of a sparse polynomial map, zero products dropped."""
-    out = {}
+def add_scaled(out: dict, coeffs: Mapping, poly: Poly) -> None:
+    """``out += poly * coeffs`` on sparse polynomial maps, through :func:`add_into`.
+
+    Zero products are skipped; this is the linear extension of a map from its
+    generator images.
+    """
     if not poly.terms:
-        return out
+        return
     for key, coeff in coeffs.items():
         prod = poly * coeff
         if prod.terms:
-            out[key] = prod
+            add_into(out, key, prod)
+
+
+def scale_map(coeffs: Mapping, poly: Poly) -> dict:
+    """``poly`` times every value of a sparse polynomial map, zero products dropped."""
+    out: dict = {}
+    add_scaled(out, coeffs, poly)
     return out
 
 

@@ -278,7 +278,7 @@ def test_criterion_09_pipeline():
     alpha = construct_alpha(toy, m)
     k0 = koszul_filt_complex(ComplexDescriptor(1, 0, Char.TWO))
     beta = ComplexMap(
-        toy, k0, [k0.gen_elem(0), k0.elem_scale(k0.gen_elem(1), Poly.t_power(1, Char.TWO, 1, m))]
+        toy, k0, [k0.gen_elem(0), {1: Poly.t_power(1, Char.TWO, 1, m)}]
     )
     if not verify_beta(beta).passed:
         ok, detail = False, "toy outbound map failed verification"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from koszulrank.hb_model import elem_to_kelem, koszul_filt_complex
 from koszulrank.koszul import (
     ComplexDescriptor,
     KElem,
@@ -34,6 +35,37 @@ def test_differential_pair_signs():
 
 def test_differential_squares_to_zero_on_triple():
     assert D31.generator((1, 2, 3)).differential().differential().is_zero()
+
+
+def _alternating_boundary(desc, indices):
+    """d(s_I) written out: removing the j-th index i gives (-1)^j t_i^(m+1)."""
+    terms = []
+    for j, i in enumerate(indices):
+        exps = [0] * desc.nvars
+        exps[i - 1] = desc.level + 1
+        sign = 1 if desc.char is Char.TWO else (-1) ** j
+        terms.append((indices[:j] + indices[j + 1 :], Poly.monomial(desc.nvars, desc.char, exps, sign)))
+    return terms
+
+
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+def test_boundary_is_the_alternating_sum(char):
+    for n, level in product(range(1, 6), range(3)):
+        desc = ComplexDescriptor(n, level, char)
+        for indices in desc.index_sets():
+            assert desc.boundary(indices) == _alternating_boundary(desc, indices)
+            assert desc.monomial(indices) == Poly.monomial(
+                n, char, [level if i + 1 in indices else 0 for i in range(n)]
+            )
+
+
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+@pytest.mark.parametrize("n, level", [(1, 0), (3, 1), (4, 2), (5, 1)])
+def test_filtered_koszul_differential_matches_kelem_differential(n, level, char):
+    desc = ComplexDescriptor(n, level, char)
+    c = koszul_filt_complex(desc)
+    for g, indices in enumerate(c.index_sets):
+        assert elem_to_kelem(c, c.apply_diff(c.gen_elem(g))) == desc.generator(indices).differential()
 
 
 def test_wedge_ordered_indices():

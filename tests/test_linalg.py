@@ -6,6 +6,7 @@ import pytest
 
 from koszulrank.linalg import (
     GF2k,
+    _bareiss_echelon,
     _is_prime,
     bareiss_det,
     bareiss_rank,
@@ -221,6 +222,47 @@ def test_kernel_vector_zero_column_is_unit():
 def test_kernel_vector_full_rank_none():
     t1, t2 = _p("t1"), _p("t2")
     assert kernel_vector([[t1, t2], [t2, t1]]) is None
+
+
+def _cramer_kernel_vector(matrix):
+    """Reference kernel vector from Cramer minors: over the echelon's pivot rows,
+    the smallest non-pivot column gets the pivot-column minor and each pivot
+    column minus the minor with itself swapped for that free column."""
+    ncols = len(matrix[0])
+    k, row_perm, col_perm, *_ = _bareiss_echelon(matrix)
+    if k == ncols:
+        return None
+    sample = matrix[0][0]
+    pivot_rows, pivot_cols = row_perm[:k], col_perm[:k]
+    free_col = min(set(range(ncols)) - set(pivot_cols))
+
+    def minor(cols):
+        if not cols:
+            return Poly.one(sample.nvars, sample.char)
+        return bareiss_det([[matrix[r][c] for c in cols] for r in pivot_rows])
+
+    vec = [Poly.zero(sample.nvars, sample.char) for _ in range(ncols)]
+    vec[free_col] = minor(pivot_cols)
+    for pos, col in enumerate(pivot_cols):
+        swapped = list(pivot_cols)
+        swapped[pos] = free_col
+        vec[col] = -minor(swapped)
+    return vec
+
+
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+def test_kernel_vector_matches_cramer_minors(char):
+    rng = random.Random(47)
+    zero = Poly.zero(3, char)
+    matrices = [[[zero] * 3 for _ in range(2)]]  # all zero
+    matrices.append([[Poly.variable(3, char, 1), zero], [Poly.one(3, char), zero]])  # zero column
+    matrices += [_random_sparse_matrix(rng, char) for _ in range(80)]
+    deficient = 0
+    for matrix in matrices:
+        expected = _cramer_kernel_vector(matrix)
+        deficient += expected is not None
+        assert kernel_vector(matrix) == expected
+    assert deficient >= 20
 
 
 def test_evaluation_rank_char2():

@@ -11,6 +11,7 @@ from koszulrank.polynomials import (
     UndefinedDegreeError,
     UnluckyPrimeError,
     add_into,
+    add_scaled,
     eval_mod_prime,
     monomials_of_degree,
     poly_divexact,
@@ -184,6 +185,28 @@ def test_scale_map(char):
     factor = t(2, char=char) + Poly.one(2, char)
     assert scale_map(coeffs, factor) == {k: factor * p for k, p in coeffs.items()}
     assert scale_map({}, factor) == {}
+
+
+@given(st.data())
+def test_add_scaled_equals_sequential_add_into(data):
+    char = data.draw(chars)
+    keyed = st.dictionaries(st.integers(0, 3), polys(nvars=2, char=char, max_terms=2, max_exp=1), max_size=4)
+    out = {k: p for k, p in data.draw(keyed).items() if p.terms}
+    expected = dict(out)
+    coeffs = data.draw(keyed)
+    factor = data.draw(polys(nvars=2, char=char, max_terms=2, max_exp=1))
+    add_scaled(out, coeffs, factor)
+    for key, coeff in coeffs.items():
+        add_into(expected, key, factor * coeff)
+    assert out == expected
+    assert all(p.terms for p in out.values())
+
+
+@pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
+def test_add_scaled_by_zero_leaves_out_unchanged(char):
+    out = {"a": t(1, char=char)}
+    add_scaled(out, {"a": t(2, char=char), "b": Poly.one(2, char)}, Poly.zero(2, char))
+    assert out == {"a": t(1, char=char)}
 
 
 def _reference_monomials(nvars, total):
