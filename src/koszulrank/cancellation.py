@@ -434,6 +434,16 @@ class WitnessReport:
     analysis: CancellationAnalysis
     value: KElem = field(repr=False, default=None)
 
+    @property
+    def sink_valid(self) -> bool:
+        """The sink exists and is a 3-sink of the cancellation graph."""
+        return self.sink_vertex is not None and self.analysis.graph.is_3_sink(self.sink_vertex)
+
+    @property
+    def holds(self) -> bool:
+        """The verdict: the expansion is nonzero, the graph 3-acyclic and the sink valid."""
+        return self.nonzero and self.acyclic3 and self.sink_valid
+
 
 def random_coeffs(n: int, m: int, char: Char, rng) -> dict:
     """Nonzero random multipliers of the canonical triples, redrawn until one exists:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Mapping, Sequence
 
-from .koszul import ComplexDescriptor, IndexSet, KElem
+from .koszul import ComplexDescriptor, IndexSet, KElem, random_monomial
 from .linalg import bareiss_rank, evaluation_rank
 from .polynomials import Char, Poly, add_into, add_scaled
 
@@ -373,13 +373,6 @@ def pair_has_multiplicative_form(g: ChainMap, i: int, j: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _random_mono(rng, nvars: int, total: int) -> tuple:
-    exps = [0] * nvars
-    for _ in range(total):
-        exps[rng.randrange(nvars)] += 1
-    return tuple(exps)
-
-
 def _random_term(rng, desc: ComplexDescriptor, word_degree: int, grading) -> tuple | None:
     """One (index_set, mono) pair subject to the degree constraint, or None."""
     n = desc.nvars
@@ -414,7 +407,7 @@ def _random_term(rng, desc: ComplexDescriptor, word_degree: int, grading) -> tup
         size = rng.randint(0, n)
         tdeg = rng.randrange(0, cap)
     jset = tuple(sorted(rng.sample(range(1, n + 1), size)))
-    return jset, _random_mono(rng, n, tdeg)
+    return jset, random_monomial(rng, n, tdeg)
 
 
 def random_homotopy(

@@ -35,7 +35,6 @@ from .certificates import (
 from .chain_maps import (
     GradingMode,
     RankMethod,
-    is_degree_preserving,
     prime_bits,
     random_chain_map,
     verify_chain_map,
@@ -69,6 +68,37 @@ class RunConfig:
 
 def _trial_rng(cfg: RunConfig, trial: int) -> random.Random:
     return random.Random(f"{cfg.seed}:{cfg.command}:{trial}")
+
+
+def _run_trials(cfg: RunConfig, trial) -> tuple[int, list[dict]]:
+    """The trial protocol of every batch command: one line per trial, then a summary.
+
+    ``trial(rng)`` returns the map, its line and ``None``, or, on a falsification,
+    the command's extra replay fields.  The first falsification ends the run; its
+    line carries the map in full and whether it verifies as a chain map.
+    """
+    lines: list[dict] = []
+    falsifications = 0
+    for k in range(cfg.trials):
+        g, line, replay = trial(_trial_rng(cfg, k))
+        line["trial"] = k
+        lines.append(line)
+        if replay is not None:
+            falsifications = 1
+            line.update(replay, falsification=True, gamma=g.to_json_dict(),
+                        chain_map_verified=verify_chain_map(g).passed)
+            break
+    summary = {
+        "summary": True,
+        "command": cfg.command,
+        "n": cfg.n,
+        "m": cfg.m,
+        "char": cfg.char.value,
+        "seed": cfg.seed,
+        "trials_run": len(lines),
+        "falsifications": falsifications,
+    }
+    return (EXIT_FALSIFICATION if falsifications else EXIT_OK), [*lines, summary]
 
 
 # ---------------------------------------------------------------------------
@@ -170,67 +200,35 @@ def _certificate_suite(cfg: RunConfig) -> list[tuple[str, Submodule]]:
 
 
 def cmd_certify(cfg: RunConfig) -> tuple[int, list[dict]]:
-    lines: list[dict] = []
-    min_rank = None
-    falsifications = 0
-    trials_run = 0
     suite = _certificate_suite(cfg)
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg, trial)
+    full_char0 = cfg.char is Char.ZERO and cfg.grading is GradingMode.FULL
+
+    def trial(rng):
         g = random_chain_map(cfg.n, cfg.m, cfg.char, rng, grading=cfg.grading)
-        trials_run += 1
+        reports = {name: check_injectivity(g, sub, rng) for name, sub in suite}
+        bound = bound_report(g, method=cfg.rank_method, rng=rng)
+        # both hypotheses (mixed-full's and Theorem A's) need a fully graded map
+        full = bound.grading == "full"
+        falsified = full_char0 and full and not bound.satisfies_A
         certificates = {}
-        falsified_here = False
-        for name, sub in suite:
-            report = check_injectivity(g, sub, rng)
-            entry = {
-                "injective": report.injective,
-                "rank": report.rank,
-                "expected": report.expected,
-            }
+        for name, report in reports.items():
+            entry = {"injective": report.injective, "rank": report.rank, "expected": report.expected}
             if not report.injective:
-                guaranteed = name != "mixed-full" or is_degree_preserving(g, GradingMode.FULL)
-                if guaranteed:
-                    falsified_here = True
+                if name != "mixed-full" or full:
+                    falsified = True
                 else:
                     entry["hypothesis_sensitive"] = True
             certificates[name] = entry
-        bound = bound_report(g, method=cfg.rank_method, rng=rng)
-        if (
-            cfg.char is Char.ZERO
-            and cfg.grading is GradingMode.FULL
-            and bound.grading == "full"
-            and not bound.satisfies_A
-        ):
-            falsified_here = True
-        if min_rank is None or bound.rank < min_rank:
-            min_rank = bound.rank
-        line = {"trial": trial, "certificates": certificates, **bound.to_json_dict()}
-        if falsified_here:
-            falsifications += 1
-            line["falsification"] = True
-            line["gamma"] = g.to_json_dict()
-            line["chain_map_verified"] = verify_chain_map(g).passed
-            lines.append(line)
-            break
-        lines.append(line)
-    lines.append(
-        {
-            "summary": True,
-            "command": "certify",
-            "n": cfg.n,
-            "m": cfg.m,
-            "char": cfg.char.value,
-            "grading": cfg.grading.value if cfg.grading else "none",
-            "rank_method": cfg.rank_method.value,
-            "seed": cfg.seed,
-            "trials_run": trials_run,
-            "min_rank": min_rank,
-            "theorem_A": improved_bound(cfg.n),
-            "falsifications": falsifications,
-        }
+        return g, {"certificates": certificates, **bound.to_json_dict()}, {} if falsified else None
+
+    code, lines = _run_trials(cfg, trial)
+    lines[-1].update(
+        min_rank=min(line["rank"] for line in lines[:-1]),
+        grading=cfg.grading.value if cfg.grading else "none",
+        rank_method=cfg.rank_method.value,
+        theorem_A=improved_bound(cfg.n),
     )
-    return (EXIT_FALSIFICATION if falsifications else EXIT_OK), lines
+    return code, lines
 
 
 # ---------------------------------------------------------------------------
@@ -239,57 +237,30 @@ def cmd_certify(cfg: RunConfig) -> tuple[int, list[dict]]:
 
 
 def cmd_cancellation(cfg: RunConfig) -> tuple[int, list[dict]]:
-    lines: list[dict] = []
-    falsifications = 0
-    trials_run = 0
-    max_edges = 0
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg, trial)
+    def trial(rng):
         g = random_chain_map(cfg.n, cfg.m, cfg.char, rng, grading=cfg.grading)
         coeffs = random_coeffs(cfg.n, cfg.m, cfg.char, rng)
         witness = contradiction_witness(g, coeffs)
-        trials_run += 1
-        sink_valid = (
-            witness.sink_vertex is not None
-            and witness.analysis.graph.is_3_sink(witness.sink_vertex)
-        )
-        edges = len(witness.analysis.graph.edges)
-        max_edges = max(max_edges, edges)
+        graph = witness.analysis.graph
         line = {
-            "trial": trial,
             "nonzero": witness.nonzero,
             "acyclic3": witness.acyclic3,
             "sink": ",".join(map(str, witness.sink_vertex)) if witness.sink_vertex else None,
-            "sink_valid": sink_valid,
+            "sink_valid": witness.sink_valid,
             "surviving_term": witness.surviving_term,
-            "vertices": len(witness.analysis.graph.vertices),
-            "edges": edges,
+            "vertices": len(graph.vertices),
+            "edges": len(graph.edges),
         }
-        if not witness.nonzero or not witness.acyclic3 or not sink_valid:
-            falsifications += 1
-            line["falsification"] = True
-            line["gamma"] = g.to_json_dict()
-            line["coeffs"] = {
-                ",".join(map(str, t)): str(p) for t, p in coeffs.items()
-            }
-            line["scheme"] = witness.analysis.to_json_dict()
-            lines.append(line)
-            break
-        lines.append(line)
-    lines.append(
-        {
-            "summary": True,
-            "command": "cancellation",
-            "n": cfg.n,
-            "m": cfg.m,
-            "char": cfg.char.value,
-            "seed": cfg.seed,
-            "trials_run": trials_run,
-            "max_edges": max_edges,
-            "falsifications": falsifications,
+        if witness.holds:
+            return g, line, None
+        return g, line, {
+            "coeffs": {",".join(map(str, t)): str(p) for t, p in coeffs.items()},
+            "scheme": witness.analysis.to_json_dict(),
         }
-    )
-    return (EXIT_FALSIFICATION if falsifications else EXIT_OK), lines
+
+    code, lines = _run_trials(cfg, trial)
+    lines[-1]["max_edges"] = max(line["edges"] for line in lines[:-1])
+    return code, lines
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,6 @@ class FiltComplex:
                 if any(char.t_degree * sum(pm) != shift for pm in poly.terms):
                     raise ValueError(f"d({self.generators[col].name}) has a term not of degree +1")
         self.koszul_descriptor: ComplexDescriptor | None = None
-        self.index_sets: list[IndexSet] | None = None
 
     def __eq__(self, other):
         if not isinstance(other, FiltComplex):
@@ -416,15 +415,16 @@ def koszul_filt_complex(desc: ComplexDescriptor) -> FiltComplex:
     augmentation = [1 if not indices else 0 for indices in index_sets]
     c = FiltComplex(desc.nvars, desc.char, gens, diff, augmentation)
     c.koszul_descriptor = desc
-    c.index_sets = index_sets
     return c
 
 
 def elem_to_kelem(c: FiltComplex, elem: dict) -> KElem:
     """Convert an element of a Koszul-built complex back to the sparse form."""
-    if c.index_sets is None:
+    desc = c.koszul_descriptor
+    if desc is None:
         raise ValueError("complex was not built from a Koszul descriptor")
-    return KElem(c.koszul_descriptor, {c.index_sets[g]: poly for g, poly in elem.items()})
+    index_sets = list(desc.index_sets())
+    return KElem(desc, {index_sets[g]: poly for g, poly in elem.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +473,7 @@ def verify_alpha(a: ComplexMap, max_degree: int | None = None) -> AlphaReport:
     chain_failures = a.commutes_with_diff()
     chain_map_ok = not chain_failures
     failures.extend(f"differential law fails at {name}" for name in chain_failures)
-    unit_index = a.source.index_sets.index(())
+    unit_index = list(src.koszul_descriptor.index_sets()).index(())
     unit_image = a.images[unit_index]
     projection_ok = a.target.augment(unit_image) == 1
     if not projection_ok:
@@ -586,7 +586,7 @@ def compose_to_gamma(a: ComplexMap, b: ComplexMap) -> ChainMap:
     source_desc = a.source.koszul_descriptor
     target_desc = b.target.koszul_descriptor
     images: dict[IndexSet, KElem] = {}
-    for idx, indices in enumerate(a.source.index_sets):
+    for idx, indices in enumerate(source_desc.index_sets()):
         through = b.apply(a.images[idx])
         images[indices] = elem_to_kelem(b.target, through)
     return ChainMap(source_desc, ComplexDescriptor(target_desc.nvars, 0, target_desc.char), images)

@@ -310,6 +310,14 @@ def random_kelem(desc: ComplexDescriptor, rng, max_terms: int = 4, max_exp: int 
     return KElem(desc, coeffs)
 
 
+def random_monomial(rng, nvars: int, total: int) -> tuple:
+    """Random exponent vector of the given total degree, one variable drawn per unit."""
+    exps = [0] * nvars
+    for _ in range(total):
+        exps[rng.randrange(nvars)] += 1
+    return tuple(exps)
+
+
 def random_homogeneous_kelem(desc: ComplexDescriptor, rng, max_terms: int = 3, max_exp: int = 2) -> KElem:
     """Random element whose terms all share one graded degree (possibly zero)."""
     size = rng.randint(0, desc.nvars)
@@ -317,11 +325,9 @@ def random_homogeneous_kelem(desc: ComplexDescriptor, rng, max_terms: int = 3, m
     coeffs: dict[IndexSet, Poly] = {}
     for _ in range(rng.randint(1, max_terms)):
         indices = tuple(sorted(rng.sample(range(1, desc.nvars + 1), size)))
-        exps = [0] * desc.nvars
-        for _ in range(tdeg):
-            exps[rng.randrange(desc.nvars)] += 1
+        mono = random_monomial(rng, desc.nvars, tdeg)
         coeff = 1 if desc.char is Char.TWO else rng.choice((1, -1))
-        add_into(coeffs, indices, Poly.monomial(desc.nvars, desc.char, tuple(exps), coeff))
+        add_into(coeffs, indices, Poly.monomial(desc.nvars, desc.char, mono, coeff))
     return KElem(desc, coeffs)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import koszulrank
+from koszulrank import cli
+from koszulrank.chain_maps import ChainMap, verify_chain_map
 from koszulrank.cli import (
     EXIT_FALSIFICATION,
     EXIT_OK,
@@ -93,6 +96,60 @@ def test_cancellation_single_triple(tmp_path):
     for line in lines[:-1]:
         assert line["vertices"] == 1
         assert line["acyclic3"]
+
+
+def _spoil_second_trial(monkeypatch, name, spoil):
+    """Patch ``cli.<name>`` so that its results are passed through ``spoil`` on trial 1 only.
+
+    Trials are counted by wrapping ``cli.random_chain_map``, which every trial calls once.
+    """
+    trials = []
+    draw = cli.random_chain_map
+    original = getattr(cli, name)
+
+    def counting_draw(*args, **kwargs):
+        trials.append(len(trials))
+        return draw(*args, **kwargs)
+
+    def spoiled(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return spoil(result) if trials[-1] == 1 else result
+
+    monkeypatch.setattr(cli, "random_chain_map", counting_draw)
+    monkeypatch.setattr(cli, name, spoiled)
+
+
+FALSIFIED_RUNS = [
+    ("check_injectivity", lambda report: dataclasses.replace(report, injective=False),
+     ["certify", "--n", "3", "--m", "1", "--char", "0", "--trials", "4", "--seed", "3"]),
+    ("bound_report", lambda bound: dataclasses.replace(bound, satisfies_A=False),
+     ["certify", "--n", "3", "--m", "1", "--char", "0", "--grading", "full",
+      "--trials", "4", "--seed", "3"]),
+    ("contradiction_witness", lambda witness: dataclasses.replace(witness, nonzero=False),
+     ["cancellation", "--n", "6", "--m", "1", "--char", "0", "--trials", "4", "--seed", "11"]),
+]
+
+
+@pytest.mark.parametrize("name, spoil, argv", FALSIFIED_RUNS, ids=[r[0] for r in FALSIFIED_RUNS])
+def test_falsification_stops_and_dumps_the_map(tmp_path, monkeypatch, name, spoil, argv):
+    _spoil_second_trial(monkeypatch, name, spoil)
+    code, lines = _run(tmp_path, *argv)
+    assert code == EXIT_FALSIFICATION
+    *trial_lines, summary = lines
+    assert [line["trial"] for line in trial_lines] == [0, 1]
+    assert "falsification" not in trial_lines[0] and "gamma" not in trial_lines[0]
+    last = trial_lines[-1]
+    assert last["falsification"] is True
+    assert last["chain_map_verified"] is True
+    assert verify_chain_map(ChainMap.from_json_dict(last["gamma"])).passed
+    assert summary["summary"] is True and summary["command"] == argv[0]
+    assert summary["falsifications"] == 1
+    assert summary["trials_run"] == 2
+    if argv[0] == "certify":
+        assert summary["min_rank"] == min(line["rank"] for line in trial_lines)
+    else:
+        assert set(last) >= {"coeffs", "scheme"}
+        assert summary["max_edges"] == max(line["edges"] for line in trial_lines)
 
 
 def test_seed_determinism(tmp_path):

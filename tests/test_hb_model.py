@@ -29,9 +29,9 @@ from koszulrank.polynomials import Char, Poly, add_into
 def _complex_map_of(g, source_filt, target_filt):
     """View a generator-image chain map as a map of filtered complexes."""
     images = []
-    for indices in source_filt.index_sets:
+    for indices in source_filt.koszul_descriptor.index_sets():
         img = g.images[indices]
-        position = {s: i for i, s in enumerate(target_filt.index_sets)}
+        position = {s: i for i, s in enumerate(target_filt.koszul_descriptor.index_sets())}
         images.append({position[jset]: poly for jset, poly in img.coeffs.items()})
     return ComplexMap(source_filt, target_filt, images)
 
@@ -194,8 +194,9 @@ def test_identity_beta_passes():
 def test_beta_filtration_violation():
     c = koszul_filt_complex(ComplexDescriptor(2, 0, Char.ZERO))
     images = [c.gen_elem(i) for i in range(len(c.generators))]
-    top = c.index_sets.index((1, 2))
-    images[c.index_sets.index((1,))] = c.gen_elem(top)  # level 1 -> word-length 2
+    index_sets = list(c.koszul_descriptor.index_sets())
+    top = index_sets.index((1, 2))
+    images[index_sets.index((1,))] = c.gen_elem(top)  # level 1 -> word-length 2
     report = verify_beta(ComplexMap(c, c, images))
     assert not report.filtration_ok
 
@@ -213,7 +214,7 @@ def test_beta_on_rank_two_model():
 def test_beta_on_twisted_model():
     c = twisted_two_var_model(Char.ZERO)
     k0 = koszul_filt_complex(ComplexDescriptor(2, 0, Char.ZERO))
-    pos = {s: i for i, s in enumerate(k0.index_sets)}
+    pos = {s: i for i, s in enumerate(k0.koszul_descriptor.index_sets())}
     images = [
         k0.gen_elem(pos[()]),
         k0.gen_elem(pos[(1,)]),

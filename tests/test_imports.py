@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used, or says why it is kept."""
+"""Every module-level import in the package, the scripts and the tests is used, or says why it is kept."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import koszulrank
 
 PACKAGE = Path(koszulrank.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -25,12 +26,15 @@ def _unused_imports(path: Path) -> list[str]:
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
             if bound not in used:
-                unused.append(f"{path.name}:{node.lineno} {bound}")
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {bound}")
     return unused
 
 
 def test_no_unused_module_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert modules and scripts and tests
+    modules += scripts + tests
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused, "unused imports (mark deliberate re-exports with # noqa: F401): " + ", ".join(unused)

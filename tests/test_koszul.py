@@ -64,7 +64,7 @@ def test_boundary_is_the_alternating_sum(char):
 def test_filtered_koszul_differential_matches_kelem_differential(n, level, char):
     desc = ComplexDescriptor(n, level, char)
     c = koszul_filt_complex(desc)
-    for g, indices in enumerate(c.index_sets):
+    for g, indices in enumerate(desc.index_sets()):
         assert elem_to_kelem(c, c.apply_diff(c.gen_elem(g))) == desc.generator(indices).differential()
 
 

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on tiny inputs."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -49,3 +50,25 @@ def _run(argv):
     return subprocess.run(
         [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cancellation_stats_counts_an_invalid_sink_as_a_falsification(monkeypatch, capsys):
+    script = _load_script("cancellation_stats")
+    witness_of = script.contradiction_witness
+
+    def invalid_sink(g, coeffs):
+        witness = witness_of(g, coeffs)
+        witness.analysis.graph.is_3_sink = lambda vertex: False
+        return witness
+
+    monkeypatch.setattr(script, "contradiction_witness", invalid_sink)
+    monkeypatch.setattr(sys, "argv", ["cancellation_stats.py", "--n", "6", "--trials", "2"])
+    assert script.main() == 3
+    assert "FALSIFICATION" in capsys.readouterr().out
