@@ -60,10 +60,12 @@ class RankMethod(Enum):
 def prime_bits() -> int:
     """Bit size for modular evaluation fields (env KOSZUL_PRIME_BITS, default 31).
 
-    Raises ValueError unless the value is an integer from 2 to 64: no prime
-    has a single bit, GF(2) has no irreducible modulus of degree 1, and much
-    wider fields make the prime search and the GF(2^k) modulus search take
-    minutes without making a deficient answer noticeably less likely.
+    In characteristic 0 it is the bit length of the random prime; in
+    characteristic 2 it picks the field of ``linalg.gf2_field``: GF(2^bits)
+    up to 16 bits, GF(2^32) up to 32 and GF(2^64) up to 64.  Raises
+    ValueError unless the value is an integer from 2 to 64: no prime has a
+    single bit, and much wider fields make the prime search take minutes
+    without making a deficient answer noticeably less likely.
     """
     text = os.environ.get("KOSZUL_PRIME_BITS", "31")
     try:
@@ -93,8 +95,7 @@ class ChainMap:
             raise ValueError("source and target must share variables and characteristic")
         if target.level != 0:
             raise ValueError("target must be the level-0 complex")
-        lazy = isinstance(images, _PerturbedImages)
-        if lazy and (images.base.source, images.base.target) == (source, target):
+        if isinstance(images, (_BaselineImages, _PerturbedImages)) and images.shape == (source, target):
             fixed = images  # keys and targets are right by construction
         else:
             fixed = {}
@@ -166,9 +167,11 @@ class Homotopy:
     """Generator-indexed values of a degree -1 correction term.
 
     The empty index set must map to zero so perturbed maps stay unital.
+    ``values`` is a dict, or the values of :func:`random_homotopy`, each built
+    from its random draws when first read.
     """
 
-    values: dict[IndexSet, KElem] = field(default_factory=dict)
+    values: Mapping[IndexSet, KElem] = field(default_factory=dict)
 
     def __post_init__(self):
         empty = self.values.get(())
@@ -197,12 +200,55 @@ class ChainMapReport:
         return self.unital and self.commutes
 
 
+class _BaselineImages(Mapping):
+    """The images s_I -> (prod_{i in I} t_i^m) s_I of :func:`iota`, each built
+    when first read.
+
+    Keys are the source's index sets in ``index_sets()`` order and every image
+    lies in the level-0 target.
+    """
+
+    __slots__ = ("source", "target", "_cache")
+
+    def __init__(self, source: ComplexDescriptor):
+        self.source = source
+        self.target = ComplexDescriptor(source.nvars, 0, source.char)
+        self._cache: dict[IndexSet, KElem] = {}
+
+    @property
+    def shape(self) -> tuple[ComplexDescriptor, ComplexDescriptor]:
+        return self.source, self.target
+
+    def __getitem__(self, indices: IndexSet) -> KElem:
+        img = self._cache.get(indices)
+        if img is None:
+            if indices not in self:
+                raise KeyError(indices)
+            img = self._cache[indices] = KElem._raw(self.target, {indices: self.source.monomial(indices)})
+        return img
+
+    def __contains__(self, indices) -> bool:
+        n = self.source.nvars
+        return (
+            isinstance(indices, tuple)
+            and all(isinstance(i, int) and 1 <= i <= n for i in indices)
+            and all(a < b for a, b in zip(indices, indices[1:]))
+        )
+
+    def __iter__(self):
+        return self.source.index_sets()
+
+    def __len__(self) -> int:
+        return 1 << self.source.nvars
+
+
 def iota(n: int, m: int, char: Char) -> ChainMap:
-    """The multiplicative baseline map s_I -> (prod_{i in I} t_i^m) s_I."""
-    source = ComplexDescriptor(n, m, char)
-    target = ComplexDescriptor(n, 0, char)
-    images = {indices: KElem(target, {indices: source.monomial(indices)}) for indices in source.index_sets()}
-    return ChainMap(source, target, images)
+    """The multiplicative baseline map s_I -> (prod_{i in I} t_i^m) s_I.
+
+    Its images are built when first read (see :class:`_BaselineImages`).
+    """
+    images = _BaselineImages(ComplexDescriptor(n, m, char))
+    return ChainMap(images.source, images.target, images)
 
 
 def verify_chain_map(g: ChainMap) -> ChainMapReport:
@@ -244,6 +290,10 @@ class _PerturbedImages(Mapping):
         self.homotopy = homotopy
         self._cache: dict[IndexSet, KElem] = {}
 
+    @property
+    def shape(self) -> tuple[ComplexDescriptor, ComplexDescriptor]:
+        return self.base.source, self.base.target
+
     def __getitem__(self, indices: IndexSet) -> KElem:
         img = self._cache.get(indices)
         if img is None:
@@ -272,12 +322,15 @@ def homotopy_perturb(g: ChainMap, h: Homotopy) -> ChainMap:
 
     Perturbation preserves the chain-map law and unitality, so the result of
     perturbing a valid map is again valid by construction.  Each image is
-    computed when it is first read (see :class:`_PerturbedImages`).
+    computed when it is first read (see :class:`_PerturbedImages`).  The
+    values of :func:`random_homotopy` lie in their target by construction;
+    other values are checked here.
     """
     empty = h.values.get(())
     if empty is not None and not empty.is_zero():
         raise ValueError("perturbing with a homotopy that hits the unit breaks unitality")
-    if any(val.desc != g.target for val in h.values.values()):
+    drawn = isinstance(h.values, _DrawnValues) and h.values.target == g.target
+    if not drawn and any(val.desc != g.target for val in h.values.values()):
         raise ValueError("homotopy values must lie in the target complex")
     return ChainMap(g.source, g.target, _PerturbedImages(g, h))
 
@@ -311,7 +364,12 @@ def matrix_of_images(target: ComplexDescriptor, columns: Sequence[KElem]) -> lis
     Rows are indexed by the target's index sets in (word-length, lex) order.
     """
     zero = Poly.zero(target.nvars, target.char)
-    return [[col.coeffs.get(jset, zero) for col in columns] for jset in target.index_sets()]
+    row_of = {jset: i for i, jset in enumerate(target.index_sets())}
+    matrix = [[zero] * len(columns) for _ in row_of]
+    for j, col in enumerate(columns):
+        for jset, poly in col.coeffs.items():
+            matrix[row_of[jset]][j] = poly
+    return matrix
 
 
 def _column_rank(target: ComplexDescriptor, columns: Sequence[KElem], method: RankMethod, rng) -> int:
@@ -410,6 +468,49 @@ def _random_term(rng, desc: ComplexDescriptor, word_degree: int, grading) -> tup
     return jset, random_monomial(rng, n, tdeg)
 
 
+class _DrawnValues(Mapping):
+    """Homotopy values kept as their random draws, each built when first read.
+
+    ``draws`` maps an index set to its ``(jset, mono, sign)`` terms in draw
+    order; reading the index set sums them into a target element through
+    :func:`add_into`, as an eager build would.  Index sets whose terms cancel
+    have no value, like the absent index sets.
+    """
+
+    __slots__ = ("target", "_draws", "_built")
+
+    def __init__(self, target: ComplexDescriptor, draws: dict[IndexSet, list[tuple]]):
+        self.target = target
+        self._draws = draws
+        self._built: dict[IndexSet, KElem | None] = {}
+
+    def get(self, indices, default=None):
+        if indices in self._built:
+            val = self._built[indices]
+        else:
+            terms = self._draws.get(indices)
+            if terms is None:
+                return default
+            nvars, char = self.target.nvars, self.target.char
+            coeffs: dict[IndexSet, Poly] = {}
+            for jset, mono, sign in terms:
+                add_into(coeffs, jset, Poly._raw(nvars, char, {mono: sign}))
+            val = self._built[indices] = KElem._raw(self.target, coeffs) if coeffs else None
+        return default if val is None else val
+
+    def __getitem__(self, indices: IndexSet) -> KElem:
+        val = self.get(indices)
+        if val is None:
+            raise KeyError(indices)
+        return val
+
+    def __iter__(self):
+        return (indices for indices in self._draws if self.get(indices) is not None)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
 def random_homotopy(
     source: ComplexDescriptor,
     rng,
@@ -420,25 +521,26 @@ def random_homotopy(
 
     Each nonempty index set receives at most ``max_terms`` random monomial
     summands with coefficients +-1 (always 1 in characteristic 2); small
-    supports keep exact rank computations tractable.
+    supports keep exact rank computations tractable.  Every draw is made
+    here, in index-set order; each value is built when first read (see
+    :class:`_DrawnValues`).
     """
-    target = ComplexDescriptor(source.nvars, 0, source.char)
+    two = source.char is Char.TWO
     sd = source.s_degree
-    values: dict[IndexSet, KElem] = {}
+    draws: dict[IndexSet, list[tuple]] = {}
     for indices in source.index_sets():
         if not indices:
             continue
-        coeffs: dict[IndexSet, Poly] = {}
+        terms = []
         for _ in range(rng.randint(0, max_terms)):
             term = _random_term(rng, source, sd * len(indices), grading)
             if term is None:
                 continue
             jset, mono = term
-            sign = 1 if source.char is Char.TWO else rng.choice((1, -1))
-            add_into(coeffs, jset, Poly.monomial(source.nvars, source.char, mono, sign))
-        if coeffs:
-            values[indices] = KElem(target, coeffs)
-    return Homotopy(values)
+            terms.append((jset, mono, 1 if two else rng.choice((1, -1))))
+        if terms:
+            draws[indices] = terms
+    return Homotopy(_DrawnValues(ComplexDescriptor(source.nvars, 0, source.char), draws))
 
 
 def random_chain_map(

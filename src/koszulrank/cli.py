@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import random
 import sys
@@ -207,6 +208,11 @@ def cmd_certify(cfg: RunConfig) -> tuple[int, list[dict]]:
         g = random_chain_map(cfg.n, cfg.m, cfg.char, rng, grading=cfg.grading)
         reports = {name: check_injectivity(g, sub, rng) for name, sub in suite}
         bound = bound_report(g, method=cfg.rank_method, rng=rng)
+        # an evaluation rank below 2^n is only a lower bound, and a certified
+        # injective mixed-full family (theorem_A members) proves the bound anyway
+        lower_bound_only = cfg.rank_method is RankMethod.MODULAR and bound.rank < 2 ** cfg.n
+        if lower_bound_only and "mixed-full" in reports and reports["mixed-full"].injective:
+            bound = dataclasses.replace(bound, satisfies_A=True)
         # both hypotheses (mixed-full's and Theorem A's) need a fully graded map
         full = bound.grading == "full"
         falsified = full_char0 and full and not bound.satisfies_A

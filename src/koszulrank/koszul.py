@@ -121,7 +121,7 @@ class ComplexDescriptor:
         exps = [0] * self.nvars
         for i in indices:
             exps[i - 1] = self.level
-        return Poly.monomial(self.nvars, self.char, exps)
+        return Poly._raw(self.nvars, self.char, {tuple(exps): 1})
 
 
 class KElem:

@@ -5,20 +5,23 @@ Three layers live here:
 * sparse Gaussian elimination: one leading-coordinate loop, ``_reduce``,
   ranks and solves over Q and F2 (degreewise homology, lifting problems)
   and ranks evaluated matrices over F_p and GF(2^k); each field supplies
-  sub, mul and inv, and F2 rows are coordinate sets reduced by XOR;
+  mul, inv and the row update ``axpy``, and F2 rows are coordinate sets
+  reduced by XOR;
 * fraction-free (Bareiss) elimination over the polynomial ring itself, the
   authoritative rank/determinant/kernel routines over the fraction field;
 * randomized evaluation ranks: matrices of polynomials are evaluated at
   random points of a large prime field (characteristic 0) or of GF(2^k)
-  (characteristic 2) and ranked there.  The characteristic only picks the
-  field; each field draws its point and evaluates the nonzero entries into
-  sparse rows, which are reduced sparsest first.  An evaluation rank never
+  (characteristic 2; log tables up to GF(2^16), quadratic towers above) and
+  ranked there.  The characteristic only picks the field; each field draws
+  its point and evaluates the nonzero entries into sparse rows, which are
+  reduced sparsest first.  An evaluation rank never
   exceeds the true rank, so a full evaluation rank certifies the exact answer.
 """
 
 from __future__ import annotations
 
 import operator
+from array import array
 from fractions import Fraction
 from math import inf
 
@@ -27,7 +30,10 @@ from .polynomials import Char, Poly, UnluckyPrimeError, eval_terms_mod_p, poly_d
 __all__ = [
     "field_rank",
     "solve_linear",
-    "GF2k",
+    "GF2Log",
+    "GF2Tower",
+    "GF2TableTower",
+    "gf2_field",
     "random_prime",
     "bareiss_rank",
     "bareiss_det",
@@ -45,7 +51,6 @@ class Rationals:
     """The field Q on ints and Fractions.  ``inv`` keeps unit pivots integral,
     so integer rows stay integer rows."""
 
-    sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
 
     @staticmethod
@@ -54,6 +59,17 @@ class Rationals:
             return int(a)
         inv = Fraction(1) / a
         return inv.numerator if inv.denominator == 1 else inv
+
+    @staticmethod
+    def axpy(row: dict, f, pivot: dict) -> None:
+        """``row -= f * pivot`` in place, zeros dropped (f and pivot entries nonzero)."""
+        get = row.get
+        for c, v in pivot.items():
+            s = get(c, 0) - f * v
+            if s:
+                row[c] = s
+            else:
+                del row[c]
 
 
 class PrimeField:
@@ -64,14 +80,22 @@ class PrimeField:
     def __init__(self, prime: int):
         self.prime = prime
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.prime
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.prime
 
     def inv(self, a: int) -> int:
         return pow(a, -1, self.prime)
+
+    def axpy(self, row: dict, f: int, pivot: dict) -> None:
+        """``row -= f * pivot`` in place, zeros dropped (f and pivot entries nonzero)."""
+        p = self.prime
+        get = row.get
+        for c, v in pivot.items():
+            s = (get(c, 0) - f * v) % p
+            if s:
+                row[c] = s
+            else:
+                del row[c]
 
     def random_nonzero(self, rng) -> int:
         return rng.randrange(1, self.prime)
@@ -93,7 +117,8 @@ def _reduce(vectors, field, upper: int | None = None) -> dict:
     F2).  Each is reduced by its smallest coordinate against the pivots found
     so far, scaled to lead 1, until it vanishes or becomes a new pivot, so
     nearly block-diagonal families eliminate with almost no fill-in.  Stops
-    once ``upper`` pivots are found.  ``field`` supplies sub, mul and inv.
+    once ``upper`` pivots are found.  ``field`` supplies mul, inv and the row
+    update ``axpy(row, f, pivot)``, which subtracts f times a pivot in place.
     """
     pivots: dict = {}
     if field is _F2:
@@ -109,7 +134,7 @@ def _reduce(vectors, field, upper: int | None = None) -> dict:
                     break
                 row ^= p
         return pivots
-    sub, mul, inv = field.sub, field.mul, field.inv
+    mul, inv, axpy = field.mul, field.inv, field.axpy
     for vec in vectors:
         row = dict(vec)
         while row:
@@ -121,13 +146,7 @@ def _reduce(vectors, field, upper: int | None = None) -> dict:
                 if len(pivots) == upper:
                     return pivots
                 break
-            f = row[lead]
-            for c, v in p.items():
-                s = sub(row.get(c, 0), mul(f, v))
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
+            axpy(row, row[lead], p)
     return pivots
 
 
@@ -176,142 +195,210 @@ def solve_linear(rows, char: Char):
 
 
 # ---------------------------------------------------------------------------
-# GF(2^k)
+# characteristic-2 evaluation fields
 # ---------------------------------------------------------------------------
 
-
-def _gf2_poly_mulmod(a: int, b: int, mod: int, degree: int) -> int:
-    top = 1 << degree
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= mod
-    return acc
+# k -> (modulus, primitive element) of GF(2^k) = F2[x]/(modulus), elements
+# encoded as ints below 2^k (bit i is the coefficient of x^i).  Each modulus
+# is the first irreducible trinomial of degree k, else the first pentanomial,
+# ordered by their middle exponents; the element x (2) is primitive except for
+# k = 9, 12, 14 and 16, where x has order 73, 45, 5461 and 21845.
+_GF2_MODULI = {
+    2: (0x7, 2), 3: (0xB, 2), 4: (0x13, 2), 5: (0x25, 2), 6: (0x43, 2),
+    7: (0x83, 2), 8: (0x187, 2), 9: (0x203, 7), 10: (0x409, 2), 11: (0x805, 2),
+    12: (0x1009, 3), 13: (0x2027, 2), 14: (0x4021, 7), 15: (0x8003, 2), 16: (0x10047, 3),
+}
 
 
-def _gf2_poly_gcd(a: int, b: int) -> int:
-    while b:
-        while a.bit_length() >= b.bit_length() and a:
-            a ^= b << (a.bit_length() - b.bit_length())
-        a, b = b, a
-    return a
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _gf2_irreducible(degree: int) -> int:
-    """Smallest irreducible trinomial/pentanomial x^degree + ... + 1 over F2."""
-
-    def is_irreducible(f: int) -> bool:
-        # Rabin test: x^(2^degree) == x mod f, and for every prime q | degree
-        # gcd(x^(2^(degree/q)) - x, f) == 1.
-        h = 2  # the polynomial x
-        for _ in range(degree):
-            h = _gf2_poly_mulmod(h, h, f, degree)
-        if h != 2:
-            return False
-        for q in _prime_factors(degree):
-            h = 2
-            for _ in range(degree // q):
-                h = _gf2_poly_mulmod(h, h, f, degree)
-            if _gf2_poly_gcd(h ^ 2, f) != 1:
-                return False
-        return True
-
-    base = (1 << degree) | 1
-    for j in range(1, degree):
-        f = base | (1 << j)
-        if is_irreducible(f):
-            return f
-    for j in range(1, degree):
-        for k in range(j + 1, degree):
-            for l in range(k + 1, degree):
-                f = base | (1 << j) | (1 << k) | (1 << l)
-                if is_irreducible(f):
-                    return f
-    raise ValueError(f"no sparse irreducible polynomial of degree {degree} found")
-
-
-class GF2k:
-    """The field with 2^k elements, encoded as ints below 2^k."""
-
-    _cache: dict[int, "GF2k"] = {}
-
-    def __new__(cls, bits: int):
-        cached = cls._cache.get(bits)
-        if cached is not None:
-            return cached
-        self = super().__new__(cls)
-        self.bits = bits
-        self.order = 1 << bits
-        self.modulus = _gf2_irreducible(bits)
-        cls._cache[bits] = self
-        return self
-
-    def sub(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        return _gf2_poly_mulmod(a, b, self.modulus, self.bits)
-
-    def inv(self, a: int) -> int:
-        """Inverse by the extended Euclidean algorithm over GF(2)[x].
-
-        Invariant: u = g1 * a and v = g2 * a modulo the field polynomial.
-        """
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(2^k)")
-        u, v = a, self.modulus
-        g1, g2 = 1, 0
-        while u != 1:
-            shift = u.bit_length() - v.bit_length()
-            if shift < 0:
-                u, v, g1, g2 = v, u, g2, g1
-                shift = -shift
-            u ^= v << shift
-            g1 ^= g2 << shift
-        return g1
-
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+class _Char2Field:
+    """What every characteristic-2 field shares: elements are ints below
+    ``order``, and addition and subtraction are XOR."""
 
     def random_nonzero(self, rng) -> int:
         return rng.randrange(1, self.order)
 
+    def pow(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def trace(self, a: int) -> int:
+        """The absolute trace a + a^2 + a^4 + ... + a^(2^(k-1)), which is 0 or 1."""
+        total = 0
+        for _ in range(self.bits):
+            total ^= a
+            a = self.mul(a, a)
+        return total
+
+    def axpy(self, row: dict, f: int, pivot: dict) -> None:
+        """``row -= f * pivot`` in place, zeros dropped (f and pivot entries nonzero)."""
+        mul = self.mul
+        get = row.get
+        for c, v in pivot.items():
+            s = get(c, 0) ^ mul(f, v)
+            if s:
+                row[c] = s
+            else:
+                del row[c]
+
     def evaluate(self, p: Poly, pows: list[list[int]]) -> int:
         """Value of a characteristic-2 polynomial at the point whose power
         tables are ``pows``."""
+        mul = self.mul
         total = 0
         for mono in p.terms:
             c = 1
             for i, e in enumerate(mono):
                 if e:
-                    c = self.mul(c, pows[i][e])
+                    c = mul(c, pows[i][e])
             total ^= c
         return total
+
+
+class GF2Log(_Char2Field):
+    """GF(2^k) for k <= 16, multiplied through log/antilog tables.
+
+    ``exp`` holds two periods of the powers of a primitive element, so the
+    sum of two logs needs no reduction; both tables are 16-bit arrays (about
+    0.4 MB at k = 16), built here by repeated multiplication by that element.
+    """
+
+    __slots__ = ("bits", "order", "modulus", "log", "exp")
+
+    def __init__(self, bits: int):
+        modulus, generator = _GF2_MODULI[bits]
+        q = 1 << bits
+        exp = array("H", [0]) * (2 * (q - 1))
+        log = array("H", [0]) * q
+        x = 1
+        for i in range(q - 1):
+            exp[i] = exp[i + q - 1] = x
+            log[x] = i
+            product, g = 0, generator  # x *= generator, one shift-and-reduce per bit
+            while g:
+                if g & 1:
+                    product ^= x
+                g >>= 1
+                x <<= 1
+                if x & q:
+                    x ^= modulus
+            x = product
+        self.bits = bits
+        self.order = q
+        self.modulus = modulus
+        self.log = log
+        self.exp = exp
+
+    def mul(self, a: int, b: int) -> int:
+        return self.exp[self.log[a] + self.log[b]] if a and b else 0
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError(f"inverse of 0 in GF(2^{self.bits})")
+        return self.exp[self.order - 1 - self.log[a]]
+
+    def axpy(self, row: dict, f: int, pivot: dict) -> None:
+        exp, log = self.exp, self.log
+        lf = log[f]
+        get = row.get
+        for c, v in pivot.items():
+            s = get(c, 0) ^ exp[lf + log[v]]
+            if s:
+                row[c] = s
+            else:
+                del row[c]
+
+
+class GF2Tower(_Char2Field):
+    """GF(2^2h) = GF(2^h)[y]/(y^2 + y + c), the element a1*y + a0 encoded a1*2^h + a0.
+
+    y^2 + y + c is irreducible over the base exactly when the trace of c is 1;
+    c is the first power of x with that trace.  Products take three base
+    multiplications (Karatsuba): with m1 = a1*b1, m0 = a0*b0 and
+    mm = (a1 + a0)(b1 + b0), (a1 y + a0)(b1 y + b0) = (mm + m0) y + m0 + c*m1.
+    The inverse of a1 y + a0 is (a1 y + a0 + a1) / N, N = a0^2 + a0 a1 + c a1^2.
+    """
+
+    __slots__ = ("base", "bits", "order", "half", "mask", "c")
+
+    def __init__(self, base):
+        self.base = base
+        self.half = base.bits
+        self.mask = (1 << base.bits) - 1
+        self.bits = 2 * base.bits
+        self.order = 1 << self.bits
+        self.c = next(1 << j for j in range(base.bits) if base.trace(1 << j))
+
+    def mul(self, a: int, b: int) -> int:
+        h, mask, bmul = self.half, self.mask, self.base.mul
+        a1, a0, b1, b0 = a >> h, a & mask, b >> h, b & mask
+        m0 = bmul(a0, b0)
+        return ((bmul(a1 ^ a0, b1 ^ b0) ^ m0) << h) | (m0 ^ bmul(self.c, bmul(a1, b1)))
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError(f"inverse of 0 in GF(2^{self.bits})")
+        h, base = self.half, self.base
+        a1, a0 = a >> h, a & self.mask
+        n = base.inv(base.mul(a0, a0 ^ a1) ^ base.mul(self.c, base.mul(a1, a1)))
+        return (base.mul(a1, n) << h) | base.mul(a0 ^ a1, n)
+
+
+class GF2TableTower(GF2Tower):
+    """A :class:`GF2Tower` over a :class:`GF2Log` base whose row update reads
+    the base tables inline: the logs of f's halves are taken once per update,
+    then each entry costs three table products and no call."""
+
+    __slots__ = ()
+
+    def axpy(self, row: dict, f: int, pivot: dict) -> None:
+        base, h, mask = self.base, self.half, self.mask
+        f1, f0 = f >> h, f & mask
+        if not (f1 and f0 and f1 != f0):
+            return _Char2Field.axpy(self, row, f, pivot)
+        exp, log = base.exp, base.log
+        l0, ls = log[f0], log[f1 ^ f0]
+        l1c = (log[f1] + log[self.c]) % (base.order - 1)
+        get = row.get
+        for col, v in pivot.items():
+            v1, v0 = v >> h, v & mask
+            vs = v1 ^ v0
+            m0 = exp[l0 + log[v0]] if v0 else 0
+            mm = exp[ls + log[vs]] if vs else 0
+            cm1 = exp[l1c + log[v1]] if v1 else 0
+            s = get(col, 0) ^ (((mm ^ m0) << h) | (m0 ^ cm1))
+            if s:
+                row[col] = s
+            else:
+                del row[col]
+
+
+_GF2_FIELDS: dict = {}  # k -> GF(2^k), built on first use (the 16-bit tables take ~50 ms)
+
+
+def gf2_field(bits: int):
+    """The characteristic-2 evaluation field for a bit size from 2 to 64.
+
+    GF(2^bits) from its own log tables up to 16 bits, GF(2^32) up to 32 bits
+    and GF(2^64) up to 64, so the field always has at least 2^(bits-1)
+    elements.  Fields are built when first asked for, never at import.
+    """
+    if not 2 <= bits <= 64:
+        raise ValueError(f"no characteristic-2 evaluation field for {bits} bits")
+    k = bits if bits <= 16 else 32 if bits <= 32 else 64
+    field = _GF2_FIELDS.get(k)
+    if field is None:
+        if k <= 16:
+            field = GF2Log(k)
+        else:
+            base = gf2_field(k // 2)
+            field = GF2TableTower(base) if isinstance(base, GF2Log) else GF2Tower(base)
+        _GF2_FIELDS[k] = field
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +566,11 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
 
     Every variable is evaluated at an independent uniform nonzero element of
     a field of size >= 2^(bits-1): a fresh random prime field in
-    characteristic 0, GF(2^bits) in characteristic 2 (evaluation must stay in
-    the same characteristic for minors to keep vanishing).  The maximum rank
+    characteristic 0, ``gf2_field(bits)`` in characteristic 2 (evaluation
+    must stay in the same characteristic for minors to keep vanishing).  In
+    characteristic 2, bits up to 16 give GF(2^bits) from log tables, 17 to 32
+    give GF(2^32) (the default 31 bits included) and 33 to 64 give GF(2^64);
+    the towers are quadratic extensions of GF(2^16) and GF(2^32).  The maximum rank
     over the given number of independent trials is returned; it is a certain
     lower bound for the true rank and equals it with overwhelming probability.
 
@@ -494,17 +584,13 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
         ([(j, e) for j, e in enumerate(row) if e.terms] for row in matrix),
         key=len,
     )
-    max_exp = [0] * nvars
-    for row in entries:
-        for _, e in row:
-            for i, m in enumerate(e.max_exponents()):
-                if m > max_exp[i]:
-                    max_exp[i] = m
+    monos = [mono for row in entries for _, e in row for mono in e.terms]
+    max_exp = [max(exps) for exps in zip(*monos)] or [0] * nvars
     best = 0
     upper = min(len(matrix), len(matrix[0]))
     for _ in range(trials):
         while True:
-            field = PrimeField(random_prime(bits, rng)) if char is Char.ZERO else GF2k(bits)
+            field = PrimeField(random_prime(bits, rng)) if char is Char.ZERO else gf2_field(bits)
             point = [field.random_nonzero(rng) for _ in range(nvars)]
             pows = power_tables(point, max_exp, field.mul)
             try:

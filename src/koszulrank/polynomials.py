@@ -198,7 +198,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly) and isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
         if not self.terms or not other.terms:

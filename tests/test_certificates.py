@@ -108,6 +108,20 @@ def test_check_injectivity_draws_one_evaluation_trial(monkeypatch):
     assert rng.getstate() == replay.getstate()
 
 
+def test_char2_check_injectivity_draws_one_point(monkeypatch):
+    """A full-rank char-2 family costs one point of the 32-bit field: nvars draws."""
+    monkeypatch.delenv("KOSZUL_PRIME_BITS", raising=False)
+    n = 4
+    g = random_chain_map(n, 1, Char.TWO, random.Random(3))
+    sub = certificate_generators(CertificateFamily.MIXED_BASE, n, 1, Char.TWO)
+    rng = random.Random(11)
+    assert check_injectivity(g, sub, rng).injective
+    replay = random.Random(11)
+    for _ in range(n):
+        replay.randrange(1, 1 << 32)
+    assert rng.getstate() == replay.getstate()
+
+
 def test_zero_generator_produces_unit_witness():
     g = iota(2, 1, Char.ZERO)
     sub = Submodule([g.source.one(), g.source.zero()], ["1", "0"])

@@ -204,6 +204,20 @@ GOLDEN_STDOUT = [
     # recorded before the rank paths were merged
     ("certify --n 3 --char 0 --grading full --rank-method exact --trials 3 --seed 7",
      "c390f287774060de3e16b23d40a00e61dd93a87ba44bdf9e5af964bb42d7f357"),
+    # recorded before the char-2 field moved to log tables
+    ("certify --n 6 --char 2 --grading full --trials 10 --seed 7",
+     "5cac0b14064a777e1889be786fd62ea7ee99f177f93790a2a2387eb7c64d583e"),
+    ("cancellation --n 9 --char 2 --m 2 --trials 5 --seed 7",
+     "fa86a82c359a48f051638939385f42d6fcb7d20160e15160f1be7bfccaf70c62"),
+]
+
+# (KOSZUL_PRIME_BITS, args, sha256 of stdout), recorded before the char-2 field
+# moved to log tables: a tiny table field and the widest tower level
+GOLDEN_STDOUT_PRIME_BITS = [
+    ("3", "certify --n 4 --char 2 --trials 5 --seed 7",
+     "5a8845326d4f641b1497dbe37a0e99cb52e44e364576846d398f322ce092174d"),
+    ("40", "certify --n 4 --char 2 --trials 5 --seed 7",
+     "5a8845326d4f641b1497dbe37a0e99cb52e44e364576846d398f322ce092174d"),
 ]
 
 
@@ -212,6 +226,27 @@ def test_golden_stdout(args, digest):
     result = _run_subprocess(args.split())
     assert result.returncode == EXIT_OK, result.stderr
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bits, args, digest", GOLDEN_STDOUT_PRIME_BITS)
+def test_golden_stdout_prime_bits(bits, args, digest):
+    result = _run_subprocess(args.split(), prime_bits=bits)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def test_tiny_field_rank_does_not_falsify_theorem_a():
+    """Over F_2 or F_3 the bound's evaluation rank can fall below theorem_A;
+    a certified injective mixed-full family still proves the bound."""
+    args = "certify --n 3 --char 0 --grading full --trials 30 --seed 7".split()
+    result = _run_subprocess(args, prime_bits="2")
+    assert result.returncode == EXIT_OK, result.stdout[-2000:]
+    *trials, summary = [json.loads(line) for line in result.stdout.splitlines()]
+    assert summary["falsifications"] == 0 and summary["trials_run"] == 30
+    assert summary["min_rank"] < summary["theorem_A"]  # the tiny field does undercount
+    for line in trials:
+        assert line["certificates"]["mixed-full"]["injective"]
+        assert line["satisfies_A"]
 
 
 @pytest.mark.parametrize("value", ["0", "1", "-3", "abc", "", "65", "4096"])

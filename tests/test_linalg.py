@@ -1,17 +1,24 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+from koszulrank import linalg
 from koszulrank.linalg import (
-    GF2k,
+    GF2Log,
+    GF2Tower,
     _bareiss_echelon,
     _is_prime,
     bareiss_det,
     bareiss_rank,
     evaluation_rank,
     field_rank,
+    gf2_field,
     kernel_vector,
     random_prime,
     solve_linear,
@@ -100,41 +107,90 @@ def test_solve_linear_ignores_row_order(char):
             assert solve_linear(shuffled, char) == expected
 
 
+# every level of the characteristic-2 fields: the log-table fields GF(2^k),
+# k <= 16, and the towers GF(2^32) and GF(2^64)
+GF2_LEVELS = [*range(2, 17), 32, 64]
+
+
 def test_gf2k_field_axioms():
-    field = GF2k(31)
-    assert field.modulus == (1 << 31) | (1 << 3) | 1  # x^31 + x^3 + 1
     rng = random.Random(0)
-    for _ in range(50):
-        a = field.random_nonzero(rng)
-        b = field.random_nonzero(rng)
-        c = field.random_nonzero(rng)
-        assert field.mul(a, field.mul(b, c)) == field.mul(field.mul(a, b), c)
-        assert field.mul(a, b ^ c) == field.mul(a, b) ^ field.mul(a, c)
-        assert field.mul(a, field.inv(a)) == 1
-    assert field.mul(1, 12345) == 12345
-    with pytest.raises(ZeroDivisionError):
-        field.inv(0)
+    for bits in GF2_LEVELS:
+        field = gf2_field(bits)
+        assert field.bits == bits
+        for _ in range(100):
+            a = field.random_nonzero(rng)
+            b = field.random_nonzero(rng)
+            c = field.random_nonzero(rng)
+            assert field.mul(a, field.mul(b, c)) == field.mul(field.mul(a, b), c)
+            assert field.mul(a, b ^ c) == field.mul(a, b) ^ field.mul(a, c)
+            assert field.mul(a, b) == field.mul(b, a)
+            assert field.mul(a, field.inv(a)) == 1
+            assert field.mul(1, a) == a and field.mul(0, a) == 0
 
 
 def test_gf2k_small_fields():
-    # GF(8): x^3 + x + 1; every nonzero element has order dividing 7
-    field = GF2k(3)
-    for a in range(1, 8):
-        assert field.pow(a, 7) == 1
+    # every nonzero element of GF(2^k) has order dividing 2^k - 1
+    for bits in range(2, 11):
+        field = gf2_field(bits)
+        for a in range(1, field.order):
+            assert field.pow(a, field.order - 1) == 1
 
 
 def test_gf2k_inverse_matches_fermat():
-    for bits in range(2, 11):
-        field = GF2k(bits)
+    for bits in range(2, 11):  # exhaustive
+        field = gf2_field(bits)
         for a in range(1, field.order):
             assert field.inv(a) == field.pow(a, field.order - 2)
-    field = GF2k(31)
-    rng = random.Random(31)
-    for _ in range(2000):
-        a = field.random_nonzero(rng)
-        assert field.inv(a) == field.pow(a, field.order - 2)
-    with pytest.raises(ZeroDivisionError):
-        field.inv(0)
+            assert field.mul(a, field.inv(a)) == 1
+
+
+def test_gf2_inverse_of_zero_raises():
+    for bits in GF2_LEVELS:
+        with pytest.raises(ZeroDivisionError):
+            gf2_field(bits).inv(0)
+
+
+def test_gf2_16_log_exp_round_trip():
+    field = gf2_field(16)
+    q = field.order
+    assert isinstance(field, GF2Log) and field.modulus == 0x10047
+    assert sorted(field.exp[: q - 1]) == list(range(1, q))  # the generator is primitive
+    assert all(field.exp[field.log[a]] == a for a in range(1, q))
+    assert field.exp[q - 1 : 2 * (q - 1)] == field.exp[: q - 1]
+
+
+def test_gf2_small_fields_keep_their_moduli():
+    # multiplication by x is the shift reduced by the modulus, as before the tables
+    for bits in range(2, 17):
+        field = gf2_field(bits)
+        for a in range(1, field.order, max(1, field.order >> 6)):
+            shifted = a << 1
+            if shifted & field.order:
+                shifted ^= field.modulus
+            assert field.mul(a, 2) == shifted
+
+
+def test_gf2_towers():
+    for bits, half in ((32, 16), (64, 32)):
+        field = gf2_field(bits)
+        assert isinstance(field, GF2Tower) and field.base is gf2_field(half)
+        assert field.base.trace(field.c) == 1  # y^2 + y + c is irreducible
+
+
+@pytest.mark.parametrize("bits, level", [(2, 2), (16, 16), (17, 32), (31, 32), (32, 32), (33, 64), (64, 64)])
+def test_gf2_field_for_bits(bits, level):
+    field = gf2_field(bits)
+    assert field.bits == level and field.order >= 1 << (bits - 1)
+    assert gf2_field(bits) is field
+
+
+def test_no_gf2_tables_at_import():
+    code = "import koszulrank, koszulrank.linalg as l; print(len(l._GF2_FIELDS))"
+    src = str(Path(linalg.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"
 
 
 def test_random_prime():
@@ -334,7 +390,7 @@ def test_evaluation_rank_draw_order(char):
     def replay(seed, trials):
         rng = random.Random(seed)
         for _ in range(trials):
-            top = random_prime(31, rng) if char is Char.ZERO else 1 << 31
+            top = random_prime(31, rng) if char is Char.ZERO else 1 << 32
             for _ in range(nvars):
                 rng.randrange(1, top)
         return rng.getstate()

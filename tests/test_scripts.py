@@ -1,6 +1,7 @@
 """The experiment scripts run end to end on tiny inputs."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -35,6 +36,8 @@ def test_script_runs(argv):
         ["scripts/cancellation_stats.py", "--n", "3", "--m", "-1"],
         ["scripts/cancellation_stats.py", "--n", "3", "--max-terms", "-1"],
         ["scripts/cancellation_stats.py", "--n", "3", "--trials", "0"],
+        ["scripts/bench.py", "--out", "unused.json", "--runs", "-1"],
+        ["scripts/bench.py", "--out", "unused.json", "--baseline", "no-such-checkout"],
     ],
 )
 def test_script_bad_flag_is_a_usage_error(argv):
@@ -42,6 +45,19 @@ def test_script_bad_flag_is_a_usage_error(argv):
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
     assert "error:" in result.stderr
+
+
+def test_bench_records_micro_timings(tmp_path):
+    out = tmp_path / "bench.json"
+    result = _run(["scripts/bench.py", "--out", str(out), "--runs", "0", "--repeat", "1"])
+    assert result.returncode == 0, result.stderr
+    record = json.loads(out.read_text())
+    assert record["machine"]["nproc"] >= 1 and record["machine"]["python"]
+    assert "commit" in record and "end_to_end" not in record
+    fields = record["micro"]["fields"]
+    assert set(fields) == {"F_p(31 bits)", "GF(2^16)", "GF(2^32)", "GF(2^64)"}
+    for entry in fields.values():
+        assert entry["rank"] == 256 and entry["mul_ns"] > 0 and entry["reduce_s"] > 0
 
 
 def _run(argv):
