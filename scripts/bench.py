@@ -5,8 +5,9 @@ End-to-end numbers come only from the benchmark, ``perfbench/run.py``: it is
 run ``--runs`` times with ``--workload all`` (one process per workload), and
 the median of each metric over the runs is recorded.  With ``--baseline DIR``
 (another checkout, such as the parent commit's) the runs alternate between
-that checkout and this one, and the record also holds the baseline medians,
-each metric's median change and how many of the pairs this checkout won.
+that checkout and this one, each side going first in every other pair, and
+the record also holds the baseline medians, each metric's median change and
+how many of the pairs this checkout won.
 
 Layer micro-timings run in this process on fixed seeded inputs: one fully
 graded n=8 bound matrix per characteristic, evaluated once in each field
@@ -74,9 +75,11 @@ def end_to_end(runs: int, seconds: int, baseline: Path | None) -> dict:
     }
     ours, theirs = [], []
     for k in range(runs):
-        if baseline is not None:
+        if baseline is not None and k % 2 == 0:  # alternate which side runs first
             theirs.append(run_benchmark(baseline, seconds))
         ours.append(run_benchmark(ROOT, seconds))
+        if baseline is not None and k % 2 == 1:
+            theirs.append(run_benchmark(baseline, seconds))
         print(f"run {k + 1}/{runs} done", file=sys.stderr, flush=True)
     record = {"runs": runs, "seconds": seconds, "medians": medians(ours), "per_run": ours}
     if baseline is not None:
