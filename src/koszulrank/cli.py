@@ -11,7 +11,9 @@ an --out path that cannot be opened for writing, checked before any trial),
 offending map is dumped in full).
 
 The environment variable KOSZUL_PRIME_BITS (default 31, range 2..64) sets the
-bit size of the random evaluation fields used by the modular rank method.
+bit size of the random evaluation fields used by the modular rank method: the
+prime's bit length in characteristic 0; in characteristic 2, GF(2^bits) up to
+16 bits, GF(2^32) up to 32 and GF(2^64) up to 64.
 """
 
 from __future__ import annotations

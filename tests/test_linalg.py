@@ -1,3 +1,4 @@
+import operator
 import os
 import random
 import subprocess
@@ -12,6 +13,8 @@ from koszulrank import linalg
 from koszulrank.linalg import (
     GF2Log,
     GF2Tower,
+    PrimeField,
+    Rationals,
     _bareiss_echelon,
     _is_prime,
     bareiss_det,
@@ -175,6 +178,35 @@ def test_gf2_towers():
         field = gf2_field(bits)
         assert isinstance(field, GF2Tower) and field.base is gf2_field(half)
         assert field.base.trace(field.c) == 1  # y^2 + y + c is irreducible
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(2**31 - 1), *map(gf2_field, (3, 16, 32, 64))],
+                         ids=["Q", "F_p", "GF(2^3)", "GF(2^16)", "GF(2^32)", "GF(2^64)"])
+def test_axpy_is_row_minus_f_times_pivot(field):
+    """The row update of every field, also on tower elements with a zero or
+    repeated half, which take the fallback branches."""
+    rng = random.Random(5)
+    char2 = not isinstance(field, (Rationals, PrimeField))
+    if char2:
+        h = field.bits // 2
+        special = [1, 1 << h, (1 << h) | 1, ((1 << h) - 1) * ((1 << h) + 1)]
+        elements = special + [field.random_nonzero(rng) for _ in range(40)]
+        sub = operator.xor
+    else:
+        elements = [rng.choice((1, -1, 2, Fraction(1, 3))) if isinstance(field, Rationals)
+                    else rng.randrange(1, field.prime) for _ in range(40)]
+        sub = operator.sub if isinstance(field, Rationals) else (lambda a, b: (a - b) % field.prime)
+    for f in elements[:8]:
+        pivot = {c: rng.choice(elements) for c in rng.sample(range(30), 15)}
+        row = {c: rng.choice(elements) for c in rng.sample(range(30), 15)}
+        for c in rng.sample(sorted(pivot), 3):  # entries that cancel
+            row[c] = field.mul(f, pivot[c])
+        expected = dict(row)
+        for c, v in pivot.items():
+            expected[c] = sub(expected.get(c, 0), field.mul(f, v))
+        expected = {c: v for c, v in expected.items() if v}
+        field.axpy(row, f, pivot)
+        assert row == expected
 
 
 @pytest.mark.parametrize("bits, level", [(2, 2), (16, 16), (17, 32), (31, 32), (32, 32), (33, 64), (64, 64)])
