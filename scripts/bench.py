@@ -2,8 +2,8 @@
 """Record a BENCH_*.json: medians of repeated benchmark runs plus field micro-timings.
 
 End-to-end numbers come only from the benchmark, ``perfbench/run.py``: it is
-run ``--runs`` times with ``--workload all`` (one process per workload), and
-the median of each metric over the runs is recorded.  With ``--baseline DIR``
+run ``--runs`` times with ``--workload all`` (one process per workload, each
+for the benchmark's own run length), and the median of each metric over the runs is recorded.  With ``--baseline DIR``
 (another checkout, such as the parent commit's) the runs alternate between
 that checkout and this one, each side going first in every other pair, and
 the record also holds the baseline medians, each metric's median change and
@@ -13,10 +13,10 @@ Layer micro-timings run in this process on fixed seeded inputs: one fully
 graded n=8 bound matrix per characteristic, evaluated once in each field
 (F_p at a 31-bit prime; GF(2^16), GF(2^32) and GF(2^64)).  ``mul`` over the
 evaluated entries and ``_reduce`` of the evaluated rows are timed
-``--repeat`` times each, and the medians are kept.
+``REPEAT`` times each, and the medians are kept.
 
 Usage:
-    python scripts/bench.py --out BENCH.json --runs 3 --seconds 20
+    python scripts/bench.py --out BENCH.json --runs 3
     python scripts/bench.py --out BENCH.json --runs 10 --baseline ../parent-checkout
     python scripts/bench.py --out BENCH.json --runs 0      # micro-timings only
 """
@@ -39,6 +39,7 @@ from koszulrank.polynomials import Char, power_tables
 ROOT = Path(__file__).resolve().parent.parent
 MICRO_N = 8
 MICRO_SEED = 0xBE7C
+REPEAT = 5  # repetitions of each micro-timing
 
 
 def commit_of(checkout: Path) -> dict:
@@ -50,9 +51,9 @@ def commit_of(checkout: Path) -> dict:
     return {"commit": git("rev-parse", "HEAD"), "dirty": bool(status) if status is not None else None}
 
 
-def run_benchmark(checkout: Path, seconds: int) -> dict:
+def run_benchmark(checkout: Path) -> dict:
     """Metrics of one ``perfbench/run.py --workload all`` run of a checkout."""
-    argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "all", "--seconds", str(seconds)]
+    argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "all"]
     proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -67,7 +68,7 @@ def medians(runs: list[dict]) -> dict:
     return {name: statistics.median(run[name] for run in runs) for name in runs[0]}
 
 
-def end_to_end(runs: int, seconds: int, baseline: Path | None) -> dict:
+def end_to_end(runs: int, baseline: Path | None) -> dict:
     """Medians over ``runs`` benchmark runs; alternating with the baseline if given."""
     directions = {
         entry["name"]: entry["better"]
@@ -76,12 +77,12 @@ def end_to_end(runs: int, seconds: int, baseline: Path | None) -> dict:
     ours, theirs = [], []
     for k in range(runs):
         if baseline is not None and k % 2 == 0:  # alternate which side runs first
-            theirs.append(run_benchmark(baseline, seconds))
-        ours.append(run_benchmark(ROOT, seconds))
+            theirs.append(run_benchmark(baseline))
+        ours.append(run_benchmark(ROOT))
         if baseline is not None and k % 2 == 1:
-            theirs.append(run_benchmark(baseline, seconds))
+            theirs.append(run_benchmark(baseline))
         print(f"run {k + 1}/{runs} done", file=sys.stderr, flush=True)
-    record = {"runs": runs, "seconds": seconds, "medians": medians(ours), "per_run": ours}
+    record = {"runs": runs, "medians": medians(ours), "per_run": ours}
     if baseline is not None:
         base = medians(theirs)
         wins = {}
@@ -147,14 +148,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
     parser.add_argument("--runs", type=int, default=3, help="benchmark runs (0: micro-timings only)")
-    parser.add_argument("--seconds", type=int, default=50, help="--seconds of each benchmark run")
-    parser.add_argument("--repeat", type=int, default=5, help="repetitions of each micro-timing")
     parser.add_argument("--baseline", type=Path, default=None, help="checkout to alternate runs with")
     args = parser.parse_args()
     if args.runs < 0:
         parser.error("--runs must be non-negative")
-    if args.seconds < 1 or args.repeat < 1:
-        parser.error("--seconds and --repeat must be at least 1")
     if args.baseline is not None and not (args.baseline / "perfbench" / "run.py").is_file():
         parser.error(f"--baseline {args.baseline} has no perfbench/run.py")
 
@@ -166,10 +163,10 @@ def main() -> int:
             "platform": platform.platform(),
         },
         **commit_of(ROOT),
-        "micro": {"n": MICRO_N, "seed": MICRO_SEED, "repeat": args.repeat, "fields": micro(args.repeat)},
+        "micro": {"n": MICRO_N, "seed": MICRO_SEED, "repeat": REPEAT, "fields": micro(REPEAT)},
     }
     if args.runs:
-        record["end_to_end"] = end_to_end(args.runs, args.seconds, args.baseline)
+        record["end_to_end"] = end_to_end(args.runs, args.baseline)
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Mapping, Sequence
 
-from .koszul import ComplexDescriptor, IndexSet, KElem, random_monomial
+from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, random_monomial
 from .linalg import bareiss_rank, evaluation_rank
 from .polynomials import Char, Poly, add_into, add_scaled
 
@@ -61,8 +61,7 @@ def prime_bits() -> int:
     """Bit size for modular evaluation fields (env KOSZUL_PRIME_BITS, default 31).
 
     In characteristic 0 it is the bit length of the random prime; in
-    characteristic 2 it picks the field of ``linalg.gf2_field``: GF(2^bits)
-    up to 16 bits, GF(2^32) up to 32 and GF(2^64) up to 64.  Raises
+    characteristic 2 it picks the field of ``linalg.gf2_field``.  Raises
     ValueError unless the value is an integer from 2 to 64: no prime has a
     single bit, and much wider fields make the prime search take minutes
     without making a deficient answer noticeably less likely.
@@ -228,12 +227,13 @@ class _BaselineImages(Mapping):
         return img
 
     def __contains__(self, indices) -> bool:
-        n = self.source.nvars
-        return (
-            isinstance(indices, tuple)
-            and all(isinstance(i, int) and 1 <= i <= n for i in indices)
-            and all(a < b for a, b in zip(indices, indices[1:]))
-        )
+        if not isinstance(indices, tuple):
+            return False
+        try:
+            _check_index_set(indices, self.source.nvars)
+        except (TypeError, ValueError):
+            return False
+        return True
 
     def __iter__(self):
         return self.source.index_sets()

@@ -12,8 +12,8 @@ offending map is dumped in full).
 
 The environment variable KOSZUL_PRIME_BITS (default 31, range 2..64) sets the
 bit size of the random evaluation fields used by the modular rank method: the
-prime's bit length in characteristic 0; in characteristic 2, GF(2^bits) up to
-16 bits, GF(2^32) up to 32 and GF(2^64) up to 64.
+prime's bit length in characteristic 0; in characteristic 2 it picks the field
+of ``linalg.gf2_field``.
 """
 
 from __future__ import annotations
@@ -211,7 +211,9 @@ def cmd_certify(cfg: RunConfig) -> tuple[int, list[dict]]:
         reports = {name: check_injectivity(g, sub, rng) for name, sub in suite}
         bound = bound_report(g, method=cfg.rank_method, rng=rng)
         # an evaluation rank below 2^n is only a lower bound, and a certified
-        # injective mixed-full family (theorem_A members) proves the bound anyway
+        # injective mixed-full family (theorem_A members) proves the bound
+        # anyway; an exact or full rank is not overridden, so a bound report
+        # that contradicts the certificate is still a falsification
         lower_bound_only = cfg.rank_method is RankMethod.MODULAR and bound.rank < 2 ** cfg.n
         if lower_bound_only and "mixed-full" in reports and reports["mixed-full"].injective:
             bound = dataclasses.replace(bound, satisfies_A=True)

@@ -385,9 +385,11 @@ _GF2_FIELDS: dict = {}  # k -> GF(2^k), built on first use (the 16-bit tables ta
 def gf2_field(bits: int):
     """The characteristic-2 evaluation field for a bit size from 2 to 64.
 
-    GF(2^bits) from its own log tables up to 16 bits, GF(2^32) up to 32 bits
-    and GF(2^64) up to 64, so the field always has at least 2^(bits-1)
-    elements.  Fields are built when first asked for, never at import.
+    GF(2^bits) from its own log tables up to 16 bits, GF(2^32) from 17 to 32
+    bits (the default 31 included) and GF(2^64) from 33 to 64, so the field
+    always has at least 2^(bits-1) elements.  The two wider fields are
+    quadratic extensions of GF(2^16) and GF(2^32).  Fields are built when
+    first asked for, never at import.
     """
     if not 2 <= bits <= 64:
         raise ValueError(f"no characteristic-2 evaluation field for {bits} bits")
@@ -569,10 +571,8 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
     Every variable is evaluated at an independent uniform nonzero element of
     a field of size >= 2^(bits-1): a fresh random prime field in
     characteristic 0, ``gf2_field(bits)`` in characteristic 2 (evaluation
-    must stay in the same characteristic for minors to keep vanishing).  In
-    characteristic 2, bits up to 16 give GF(2^bits) from log tables, 17 to 32
-    give GF(2^32) (the default 31 bits included) and 33 to 64 give GF(2^64);
-    the towers are quadratic extensions of GF(2^16) and GF(2^32).  The maximum rank
+    must stay in the same characteristic for minors to keep vanishing; see
+    ``gf2_field`` for which field a bit size picks).  The maximum rank
     over the given number of independent trials is returned; it is a certain
     lower bound for the true rank and equals it with overwhelming probability.
 

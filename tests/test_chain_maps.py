@@ -30,6 +30,16 @@ def test_iota_images_and_unitality():
     assert g.images[(1, 2)] == expected
 
 
+def test_iota_images_hold_exactly_the_index_sets():
+    images = iota(3, 1, Char.ZERO).images
+    assert all(indices in images for indices in images)
+    assert [1] not in images
+    for key in [(2, 1), (1, 1), (0,), (4,), (1, "2"), "1"]:
+        assert key not in images
+        with pytest.raises(KeyError):
+            images[key]
+
+
 def test_iota_passes_verification():
     for char in (Char.ZERO, Char.TWO):
         report = verify_chain_map(iota(3, 1, char))

@@ -162,10 +162,19 @@ def test_gf2_16_log_exp_round_trip():
     assert field.exp[q - 1 : 2 * (q - 1)] == field.exp[: q - 1]
 
 
+# the moduli the bit-serial GF(2^k) arithmetic used before the log tables
+# (its first irreducible trinomial or pentanomial of each degree), recorded
+PRE_TABLE_MODULI = {
+    2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x187, 9: 0x203,
+    10: 0x409, 11: 0x805, 12: 0x1009, 13: 0x2027, 14: 0x4021, 15: 0x8003, 16: 0x10047,
+}
+
+
 def test_gf2_small_fields_keep_their_moduli():
-    # multiplication by x is the shift reduced by the modulus, as before the tables
+    # multiplication by x is the shift reduced by the old modulus
     for bits in range(2, 17):
         field = gf2_field(bits)
+        assert field.modulus == PRE_TABLE_MODULI[bits]
         for a in range(1, field.order, max(1, field.order >> 6)):
             shifted = a << 1
             if shifted & field.order:

@@ -47,10 +47,12 @@ def test_script_bad_flag_is_a_usage_error(argv):
     assert "error:" in result.stderr
 
 
-def test_bench_records_micro_timings(tmp_path):
+def test_bench_records_micro_timings(tmp_path, monkeypatch):
+    script = _load_script("bench")
+    monkeypatch.setattr(script, "REPEAT", 1)
     out = tmp_path / "bench.json"
-    result = _run(["scripts/bench.py", "--out", str(out), "--runs", "0", "--repeat", "1"])
-    assert result.returncode == 0, result.stderr
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--out", str(out), "--runs", "0"])
+    assert script.main() == 0
     record = json.loads(out.read_text())
     assert record["machine"]["nproc"] >= 1 and record["machine"]["python"]
     assert "commit" in record and "end_to_end" not in record
