@@ -13,7 +13,10 @@ Layer micro-timings run in this process on fixed seeded inputs: one fully
 graded n=8 bound matrix per characteristic, evaluated once in each field
 (F_p at a 31-bit prime; GF(2^16), GF(2^32) and GF(2^64)).  ``mul`` over the
 evaluated entries and ``_reduce`` of the evaluated rows are timed
-``REPEAT`` times each, and the medians are kept.
+``REPEAT`` times each, and the medians are kept.  ``homology_dims`` is timed
+per characteristic on a shuffled n=4 level-0 Koszul complex up to the
+default truncation for m=1, the ``lift`` workload's middle complex; each
+repetition ranks a freshly shuffled copy, so no kept ranks are reused.
 
 Usage:
     python scripts/bench.py --out BENCH.json --runs 3
@@ -33,6 +36,8 @@ from pathlib import Path
 from time import perf_counter
 
 from koszulrank.chain_maps import GradingMode, matrix_of_images, random_chain_map
+from koszulrank.hb_model import default_truncation, koszul_filt_complex, shuffled_complex
+from koszulrank.koszul import ComplexDescriptor
 from koszulrank.linalg import PrimeField, _reduce, gf2_field, random_prime
 from koszulrank.polynomials import Char, power_tables
 
@@ -40,6 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MICRO_N = 8
 MICRO_SEED = 0xBE7C
 REPEAT = 5  # repetitions of each micro-timing
+HOMOLOGY_N = 4
+HOMOLOGY_M = 1
 
 
 def commit_of(checkout: Path) -> dict:
@@ -144,6 +151,21 @@ def micro(repeat: int) -> dict:
     return out
 
 
+def homology(repeat: int) -> dict:
+    """Median ``homology_dims`` seconds per characteristic, one fresh shuffled complex per repetition."""
+    rng = random.Random(MICRO_SEED)
+    out = {}
+    for char in (Char.ZERO, Char.TWO):
+        base = koszul_filt_complex(ComplexDescriptor(HOMOLOGY_N, 0, char))
+        max_degree = default_truncation(HOMOLOGY_N, HOMOLOGY_M, char)
+        fresh = iter([shuffled_complex(base, rng)[0] for _ in range(repeat)])
+        out[str(char.value)] = {
+            "max_degree": max_degree,
+            "homology_s": _timed(lambda: next(fresh).homology_dims(max_degree), repeat),
+        }
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
@@ -163,7 +185,13 @@ def main() -> int:
             "platform": platform.platform(),
         },
         **commit_of(ROOT),
-        "micro": {"n": MICRO_N, "seed": MICRO_SEED, "repeat": REPEAT, "fields": micro(REPEAT)},
+        "micro": {
+            "n": MICRO_N,
+            "seed": MICRO_SEED,
+            "repeat": REPEAT,
+            "fields": micro(REPEAT),
+            "homology": {"n": HOMOLOGY_N, "m": HOMOLOGY_M, "chars": homology(REPEAT)},
+        },
     }
     if args.runs:
         record["end_to_end"] = end_to_end(args.runs, args.baseline)

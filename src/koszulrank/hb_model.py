@@ -71,7 +71,11 @@ class Generator:
 
 
 class FiltComplex:
-    """Free graded complex over the polynomial ring with filtration and augmentation."""
+    """Free graded complex over the polynomial ring with filtration and augmentation.
+
+    An instance must not be mutated after construction: ``homology_dims``
+    keeps the ranks it has computed on the instance and reads them back.
+    """
 
     def __init__(self, nvars: int, char: Char, generators, diff, augmentation):
         self.nvars = nvars
@@ -98,6 +102,8 @@ class FiltComplex:
                 if any(char.t_degree * sum(pm) != shift for pm in poly.terms):
                     raise ValueError(f"d({self.generators[col].name}) has a term not of degree +1")
         self.koszul_descriptor: ComplexDescriptor | None = None
+        # (basis size, rank of d) for degrees -1, 0, 1, ...; see homology_dims
+        self._pieces: list[tuple[int, int]] = []
 
     def __eq__(self, other):
         if not isinstance(other, FiltComplex):
@@ -208,17 +214,23 @@ class FiltComplex:
         return basis, equations
 
     def homology_dims(self, max_degree: int) -> dict[int, int]:
-        """Cohomology dimension per degree by exact degreewise elimination."""
-        prev_rank = 0
-        dims: dict[int, int] = {}
-        for degree in range(max_degree + 1):
+        """Cohomology dimension per degree 0..max_degree by exact degreewise elimination.
+
+        The basis size and the rank of d of each degree eliminated, from
+        degree -1 (whose boundaries land in degree 0) up, are kept on the
+        instance, so a later call eliminates only degrees not seen before.
+        """
+        pieces = self._pieces
+        for degree in range(len(pieces) - 1, max_degree + 1):
             basis, equations = self.degree_piece(degree)
             # popping hands each row over to the elimination, so the rows and
             # the echelon form built from them never both exist in full
             rank = field_rank((equations.pop(k) for k in list(equations)), self.char)
-            dims[degree] = len(basis) - rank - prev_rank
-            prev_rank = rank
-        return dims
+            pieces.append((len(basis), rank))
+        return {
+            degree: pieces[degree + 1][0] - pieces[degree + 1][1] - pieces[degree][1]
+            for degree in range(max_degree + 1)
+        }
 
     def solve_diff(self, degree: int, rhs: dict, augment_to=None) -> dict | None:
         """An x in one graded degree with d(x) = rhs, or None if none exists.

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszulrank import hb_model
 from koszulrank.chain_maps import RankMethod, iota, rank, verify_chain_map
 from koszulrank.certificates import bound_report
 from koszulrank.hb_model import (
@@ -13,6 +14,7 @@ from koszulrank.hb_model import (
     VanishingHypothesisError,
     compose_to_gamma,
     construct_alpha,
+    default_truncation,
     identity_map,
     koszul_filt_complex,
     rank_two_model,
@@ -95,6 +97,69 @@ def test_fixture_models_pass():
     assert verify_filtration(rank_two_model(0, Char.ZERO)).passed
     for char in (Char.ZERO, Char.TWO):
         assert verify_filtration(twisted_two_var_model(char)).passed
+
+
+# ---------------------------------------------------------------------------
+# cohomology
+# ---------------------------------------------------------------------------
+
+
+def _counting_field_rank(monkeypatch) -> list:
+    calls = []
+    field_rank = hb_model.field_rank
+
+    def counting(rows, char):
+        calls.append(char)
+        return field_rank(rows, char)
+
+    monkeypatch.setattr(hb_model, "field_rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_homology_counts_boundaries_from_degree_minus_one(char):
+    # d(w) = a with w in degree -1, so a is a boundary and H^0 is spanned by 1
+    gens = [Generator("1", 0, 0), Generator("a", 0, 0), Generator("w", -1, 1)]
+    c = FiltComplex(1, char, gens, {2: [(1, Poly.one(1, char))]}, [1, 0, 0])
+    assert verify_filtration(c).passed
+    for complex_ in (c, FiltComplex.from_json(c.to_json())):
+        assert complex_.homology_dims(3)[0] == 1
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_verify_alpha_reuses_the_ranks_of_construct_alpha(monkeypatch, char):
+    c = koszul_filt_complex(ComplexDescriptor(2, 0, char))
+    alpha = construct_alpha(c, 1)
+    calls = _counting_field_rank(monkeypatch)
+    assert verify_alpha(alpha).passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_homology_dims_in_any_call_order_matches_a_fresh_complex(char):
+    desc = ComplexDescriptor(2, 1, char)
+    top = default_truncation(desc.nvars, desc.level, char)
+    c = koszul_filt_complex(desc)
+    for max_degree in (3, top, 2, top + 2):
+        assert c.homology_dims(max_degree) == koszul_filt_complex(desc).homology_dims(max_degree)
+
+
+def test_warm_ranks_do_not_hide_a_hypothesis_failure():
+    c = koszul_filt_complex(ComplexDescriptor(2, 1, Char.ZERO))
+    c.homology_dims(1)
+    report = verify_alpha(identity_map(c))
+    assert not report.hypothesis_ok and not report.passed
+
+
+def test_copies_of_a_complex_rank_their_own_degrees(monkeypatch):
+    c = koszul_filt_complex(ComplexDescriptor(2, 0, Char.TWO))
+    dims = c.homology_dims(4)
+    calls = _counting_field_rank(monkeypatch)
+    shuffled, _ = shuffled_complex(c, random.Random(3))
+    for copy in (shuffled, FiltComplex.from_json(c.to_json())):
+        calls.clear()
+        assert copy.homology_dims(4) == dims
+        assert len(calls) == 6  # degrees -1 to 4, none taken from c
 
 
 # ---------------------------------------------------------------------------
