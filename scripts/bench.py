@@ -14,9 +14,12 @@ graded n=8 bound matrix per characteristic, evaluated once in each field
 (F_p at a 31-bit prime; GF(2^16), GF(2^32) and GF(2^64)).  ``mul`` over the
 evaluated entries and ``_reduce`` of the evaluated rows are timed
 ``REPEAT`` times each, and the medians are kept.  ``homology_dims`` is timed
-per characteristic on a shuffled n=4 level-0 Koszul complex up to the
-default truncation for m=1, the ``lift`` workload's middle complex; each
-repetition ranks a freshly shuffled copy, so no kept ranks are reused.
+per characteristic up to the default truncation for m=1 on two n=4
+complexes: a shuffled level-0 Koszul complex, the ``lift`` workload's middle
+complex, which is ranked strand by strand (``homology_s``), and the Koszul
+complex on the linear forms t_i + t_(i+1), which is not Z^n-graded and so is
+ranked by eliminating whole degrees (``elimination_s``).  Each repetition
+ranks a fresh complex, so no kept ranks are reused.
 
 Usage:
     python scripts/bench.py --out BENCH.json --runs 3
@@ -36,7 +39,12 @@ from pathlib import Path
 from time import perf_counter
 
 from koszulrank.chain_maps import GradingMode, matrix_of_images, random_chain_map
-from koszulrank.hb_model import default_truncation, koszul_filt_complex, shuffled_complex
+from koszulrank.hb_model import (
+    default_truncation,
+    koszul_filt_complex,
+    linear_forms_koszul_complex,
+    shuffled_complex,
+)
 from koszulrank.koszul import ComplexDescriptor
 from koszulrank.linalg import PrimeField, _reduce, gf2_field, random_prime
 from koszulrank.polynomials import Char, power_tables
@@ -152,16 +160,18 @@ def micro(repeat: int) -> dict:
 
 
 def homology(repeat: int) -> dict:
-    """Median ``homology_dims`` seconds per characteristic, one fresh shuffled complex per repetition."""
+    """Median ``homology_dims`` seconds per characteristic and path, one fresh complex per repetition."""
     rng = random.Random(MICRO_SEED)
     out = {}
     for char in (Char.ZERO, Char.TWO):
         base = koszul_filt_complex(ComplexDescriptor(HOMOLOGY_N, 0, char))
         max_degree = default_truncation(HOMOLOGY_N, HOMOLOGY_M, char)
-        fresh = iter([shuffled_complex(base, rng)[0] for _ in range(repeat)])
+        strands = iter([shuffled_complex(base, rng)[0] for _ in range(repeat)])
+        eliminated = iter([linear_forms_koszul_complex(HOMOLOGY_N, char) for _ in range(repeat)])
         out[str(char.value)] = {
             "max_degree": max_degree,
-            "homology_s": _timed(lambda: next(fresh).homology_dims(max_degree), repeat),
+            "homology_s": _timed(lambda: next(strands).homology_dims(max_degree), repeat),
+            "elimination_s": _timed(lambda: next(eliminated).homology_dims(max_degree), repeat),
         }
     return out
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 
 from .chain_maps import ChainMap
 from .koszul import ComplexDescriptor, KElem, IndexSet
@@ -46,6 +48,7 @@ __all__ = [
     "koszul_filt_complex",
     "rank_two_model",
     "twisted_two_var_model",
+    "linear_forms_koszul_complex",
     "shuffled_complex",
     "identity_map",
 ]
@@ -70,23 +73,56 @@ class Generator:
     level: int
 
 
+def _interval_counts(widths: list, limit: int) -> list[int]:
+    """counts[s] = #{c in N^n : |c| = s, c_i < widths[i]} for s = 0..limit.
+
+    A width of None leaves its coordinate unbounded; the counts are the
+    coefficients of the product of the polynomials 1 + x + ... + x^(w - 1).
+    """
+    counts = [1] + [0] * limit
+    for width in widths:
+        running = 0
+        spread = []
+        for s in range(limit + 1):
+            running += counts[s]
+            if width is not None and s >= width:
+                running -= counts[s - width]
+            spread.append(running)
+        counts = spread
+    return counts
+
+
 class FiltComplex:
     """Free graded complex over the polynomial ring with filtration and augmentation.
 
-    An instance must not be mutated after construction: ``homology_dims``
-    keeps the ranks it has computed on the instance and reads them back.
+    When every differential entry is one scalar times one monomial, and the
+    monomials agree around every cycle of entries, d is Z^n-graded: each
+    generator gets a multidegree (``_multidegrees``) and every graded degree
+    splits into small multidegree strands that ``homology_dims`` ranks
+    instead of the whole degree.  ``degree_piece`` writes one graded degree
+    as sparse equations; ``solve_diff`` always solves those, and
+    ``homology_dims`` ranks them only for complexes that are not Z^n-graded.
+
+    An instance must not be mutated after construction: the multidegrees
+    and the ranks ``homology_dims`` has computed are kept on the instance
+    and read back.
     """
 
     def __init__(self, nvars: int, char: Char, generators, diff, augmentation):
         self.nvars = nvars
         self.char = char
         self.generators: list[Generator] = list(generators)
-        # diff maps column generator index -> list of (row generator index, Poly)
-        self.diff: dict[int, list] = {
-            col: kept
-            for col, entries in diff.items()
-            if (kept := [(row, poly) for row, poly in entries if poly.terms])
-        }
+        # diff maps column generator index -> list of (row generator index, Poly),
+        # one nonzero Poly per (row, column): repeated entries are summed
+        self.diff: dict[int, list] = {}
+        for col, entries in diff.items():
+            merged: dict = {}
+            for row, poly in entries:
+                if poly.nvars != nvars or poly.char is not char:
+                    raise ValueError("differential entry does not match the complex")
+                merged[row] = merged[row] + poly if row in merged else poly
+            if kept := [(row, poly) for row, poly in merged.items() if poly.terms]:
+                self.diff[col] = kept
         self.augmentation: list = [
             _norm_coeff(char, Fraction(v) if isinstance(v, str) else v) for v in augmentation
         ]
@@ -94,8 +130,6 @@ class FiltComplex:
             raise ValueError("augmentation vector length must match the basis")
         for col, entries in self.diff.items():
             for row, poly in entries:
-                if poly.nvars != nvars or poly.char is not char:
-                    raise ValueError("differential entry does not match the complex")
                 if not 0 <= row < len(self.generators) or not 0 <= col < len(self.generators):
                     raise ValueError("differential index out of range")
                 shift = self.generators[col].degree + 1 - self.generators[row].degree
@@ -214,13 +248,18 @@ class FiltComplex:
         return basis, equations
 
     def homology_dims(self, max_degree: int) -> dict[int, int]:
-        """Cohomology dimension per degree 0..max_degree by exact degreewise elimination.
+        """Cohomology dimension per degree 0..max_degree by exact ranks.
 
-        The basis size and the rank of d of each degree eliminated, from
-        degree -1 (whose boundaries land in degree 0) up, are kept on the
-        instance, so a later call eliminates only degrees not seen before.
+        A Z^n-graded complex is ranked strand by strand (``_strand_pieces``);
+        any other complex by eliminating each graded degree's
+        ``degree_piece``.  The basis size and the rank of d of each degree,
+        from degree -1 (whose boundaries land in degree 0) up, are kept on
+        the instance, so a later call ranks only degrees not seen before.
         """
         pieces = self._pieces
+        mdeg = self._multidegrees
+        if mdeg is not None and len(pieces) - 1 <= max_degree:
+            pieces.extend(self._strand_pieces(mdeg, len(pieces) - 1, max_degree))
         for degree in range(len(pieces) - 1, max_degree + 1):
             basis, equations = self.degree_piece(degree)
             # popping hands each row over to the elimination, so the rows and
@@ -231,6 +270,94 @@ class FiltComplex:
             degree: pieces[degree + 1][0] - pieces[degree + 1][1] - pieces[degree][1]
             for degree in range(max_degree + 1)
         }
+
+    @cached_property
+    def _multidegrees(self) -> list[tuple] | None:
+        """A multidegree in N^n per generator making d Z^n-graded, or None.
+
+        An entry c t^e from column g to row r asks for mdeg(g) = mdeg(r) + e.
+        A breadth-first walk over the entries assigns the multidegrees, and
+        each connected component is shifted so every coordinate's minimum is
+        0.  None when some entry has more than one term or two walks
+        disagree.
+        """
+        links: list[list] = [[] for _ in self.generators]
+        for col, entries in self.diff.items():
+            for row, poly in entries:
+                if len(poly.terms) != 1:
+                    return None
+                (exps,) = poly.terms
+                links[col].append((row, tuple(-e for e in exps)))
+                links[row].append((col, exps))
+        mdeg: list = [None] * len(self.generators)
+        for root in range(len(mdeg)):
+            if mdeg[root] is not None:
+                continue
+            mdeg[root] = (0,) * self.nvars
+            component = [root]
+            for g in component:  # grows while it is walked: breadth first
+                for other, step in links[g]:
+                    want = tuple(a + e for a, e in zip(mdeg[g], step))
+                    if mdeg[other] is None:
+                        mdeg[other] = want
+                        component.append(other)
+                    elif mdeg[other] != want:
+                        return None
+            lowest = [min(exps) for exps in zip(*(mdeg[g] for g in component))]
+            for g in component:
+                mdeg[g] = tuple(a - low for a, low in zip(mdeg[g], lowest))
+        return mdeg
+
+    def _strand_pieces(self, mdeg: list, lo: int, hi: int) -> list[tuple[int, int]]:
+        """(basis size, rank of d) of degrees lo..hi, summed over multidegree strands.
+
+        The strand of b in N^n is spanned by t^(b - mdeg g) g over the
+        generators g with mdeg g <= b; that element has degree
+        t_degree * |b| + height(g), with height(g) = deg g - t_degree * |mdeg g|,
+        and d acts on the strand by the scalar matrix of d.  Along one
+        coordinate, every b_i from one generator exponent up to the next
+        admits the same generators, so the strands fall into finitely many
+        classes.  A class is ranked once per height through ``field_rank``,
+        and its strands are counted per |b| by a product of interval
+        polynomials (stars and bars); classes starting beyond ``hi`` are
+        skipped.
+        """
+        td = self.char.t_degree
+        two = self.char is Char.TWO
+        height = [gen.degree - td * sum(exps) for gen, exps in zip(self.generators, mdeg)]
+        columns = {  # the scalar column of d at each generator
+            col: {row for row, _ in entries} if two
+            else {row: coeff for row, poly in entries for coeff in poly.terms.values()}
+            for col, entries in self.diff.items()
+        }
+        cuts = [sorted(set(exps)) for exps in zip(*mdeg)]
+        top = (hi - min(height)) // td  # no strand with a larger |b| reaches degree hi
+        pieces = [[0, 0] for _ in range(lo, hi + 1)]
+        for choice in product(*(range(len(c)) for c in cuts)):
+            floor = [c[j] for c, j in zip(cuts, choice)]
+            gens = [g for g, exps in enumerate(mdeg) if all(e <= f for e, f in zip(exps, floor))]
+            least = sum(floor)
+            if not gens or td * least + min(height[g] for g in gens) > hi:
+                continue
+            widths = [c[j + 1] - c[j] if j + 1 < len(c) else None for c, j in zip(cuts, choice)]
+            counts = _interval_counts(widths, top - least)
+            by_height: dict[int, list] = {}
+            for g in gens:
+                by_height.setdefault(height[g], []).append(g)
+            for h, cols in by_height.items():
+                hits = [
+                    (degree - lo, count)
+                    for s, count in enumerate(counts)
+                    if count and lo <= (degree := td * (least + s) + h) <= hi
+                ]
+                if not hits:
+                    continue
+                vectors = [columns[g] for g in cols if g in columns]
+                rank = field_rank(vectors, self.char) if vectors else 0
+                for i, count in hits:
+                    pieces[i][0] += count * len(cols)
+                    pieces[i][1] += count * rank
+        return [tuple(piece) for piece in pieces]
 
     def solve_diff(self, degree: int, rhs: dict, augment_to=None) -> dict | None:
         """An x in one graded degree with d(x) = rhs, or None if none exists.
@@ -635,6 +762,25 @@ def twisted_two_var_model(char: Char) -> FiltComplex:
         4: [(2, t1), (1, -t2), (3, Poly.one(2, char))],
     }
     return FiltComplex(2, char, gens, diff, [1, 0, 0, 0, 0])
+
+
+def linear_forms_koszul_complex(n: int, char: Char) -> FiltComplex:
+    """K_n(0) with each t_i replaced by t_i + t_(i+1) (t_n stays t_n).
+
+    d^2 = 0 holds for the Koszul complex of any forms, and this change of
+    variables is invertible, so the homology is that of K_n(0); but the
+    entries have two terms, so d is not Z^n-graded.
+    """
+    koszul = koszul_filt_complex(ComplexDescriptor(n, 0, char))
+    diff = {}
+    for col, entries in koszul.diff.items():
+        diff[col] = []
+        for row, poly in entries:
+            ((exps, coeff),) = poly.terms.items()
+            if exps[-1] == 0:  # t_i with i < n: add t_(i+1)
+                poly = poly + Poly(n, char, {exps[-1:] + exps[:-1]: coeff})
+            diff[col].append((row, poly))
+    return FiltComplex(n, char, koszul.generators, diff, koszul.augmentation)
 
 
 def shuffled_complex(c: FiltComplex, rng):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from koszulrank.hb_model import (
     default_truncation,
     identity_map,
     koszul_filt_complex,
+    linear_forms_koszul_complex,
     rank_two_model,
     shuffled_complex,
     twisted_two_var_model,
@@ -153,13 +155,98 @@ def test_warm_ranks_do_not_hide_a_hypothesis_failure():
 
 def test_copies_of_a_complex_rank_their_own_degrees(monkeypatch):
     c = koszul_filt_complex(ComplexDescriptor(2, 0, Char.TWO))
-    dims = c.homology_dims(4)
     calls = _counting_field_rank(monkeypatch)
+    dims = c.homology_dims(4)
+    ranked = len(calls)
+    assert ranked
     shuffled, _ = shuffled_complex(c, random.Random(3))
     for copy in (shuffled, FiltComplex.from_json(c.to_json())):
         calls.clear()
         assert copy.homology_dims(4) == dims
-        assert len(calls) == 6  # degrees -1 to 4, none taken from c
+        assert len(calls) == ranked  # every strand ranked again, none taken from c
+
+
+def _counting_degree_piece(monkeypatch) -> list:
+    calls = []
+    degree_piece = FiltComplex.degree_piece
+
+    def counting(self, degree):
+        calls.append(degree)
+        return degree_piece(self, degree)
+
+    monkeypatch.setattr(FiltComplex, "degree_piece", counting)
+    return calls
+
+
+def _eliminated_dims(c: FiltComplex, max_degree: int, monkeypatch) -> dict:
+    """homology_dims of a fresh copy of c with the strand path switched off."""
+    copy = FiltComplex(c.nvars, c.char, c.generators, c.diff, c.augmentation)
+    with monkeypatch.context() as patch:
+        patch.setattr(FiltComplex, "_multidegrees", None)
+        return copy.homology_dims(max_degree)
+
+
+def _homology_fixtures(char):
+    rng = random.Random(11)
+    koszul = [
+        koszul_filt_complex(ComplexDescriptor(n, m, char))
+        for n in range(1, 5)
+        for m in range(3)
+    ]
+    degree_minus_one = FiltComplex(
+        1,
+        char,
+        [Generator("1", 0, 0), Generator("a", 0, 0), Generator("w", -1, 1)],
+        {2: [(1, Poly.one(1, char))]},
+        [1, 0, 0],
+    )
+    return (
+        koszul
+        + [shuffled_complex(c, rng)[0] for c in koszul]
+        + [rank_two_model(m, char) for m in range(3)]
+        + [twisted_two_var_model(char), degree_minus_one]
+    )
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_strands_and_elimination_give_the_same_homology(monkeypatch, char):
+    pieces = _counting_degree_piece(monkeypatch)
+    for c in _homology_fixtures(char):
+        max_degree = default_truncation(c.nvars, 1, char) + 1
+        assert c._multidegrees is not None
+        pieces.clear()
+        dims = c.homology_dims(max_degree)
+        assert pieces == []  # ranked by strands
+        assert dims == _eliminated_dims(c, max_degree, monkeypatch)
+        assert pieces  # the reference eliminated degree pieces
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_complex_that_is_not_multigraded_falls_back_to_elimination(monkeypatch, char):
+    c = linear_forms_koszul_complex(3, char)
+    assert verify_filtration(c).passed
+    assert c._multidegrees is None
+    pieces = _counting_degree_piece(monkeypatch)
+    max_degree = default_truncation(3, 1, char)
+    dims = c.homology_dims(max_degree)
+    assert pieces == list(range(-1, max_degree + 1))
+    assert dims == koszul_filt_complex(ComplexDescriptor(3, 0, char)).homology_dims(max_degree)
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_monomials_that_disagree_around_a_cycle_are_not_multigraded(monkeypatch, char):
+    # d(x) = t1 u + t1 v and d(y) = t1 u + t2 v: the walk x -> u -> y -> v -> x
+    # asks for mdeg(v) + e1 = mdeg(x) = mdeg(y) = mdeg(v) + e2
+    t1, t2 = Poly.variable(2, char, 1), Poly.variable(2, char, 2)
+    sd = char.s_degree(0)
+    gens = [Generator("u", 0, 0), Generator("v", 0, 0), Generator("x", sd, 1), Generator("y", sd, 1)]
+    c = FiltComplex(2, char, gens, {2: [(0, t1), (1, t1)], 3: [(0, t1), (1, t2)]}, [1, 0, 0, 0])
+    assert verify_filtration(c).passed
+    assert c._multidegrees is None
+    pieces = _counting_degree_piece(monkeypatch)
+    dims = c.homology_dims(4)
+    assert pieces == list(range(-1, 5))
+    assert dims[0] == 2  # u and v: d(x) and d(y) are independent, so no cocycle among x, y
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +468,22 @@ def test_json_round_trip():
     ):
         again = FiltComplex.from_json(c.to_json())
         assert again == c
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_repeated_differential_entries_are_summed(char):
+    c = rank_two_model(0, char)  # d(e) = t1
+    data = c.to_json_dict()
+    data["diff"] = data["diff"] * 2
+    loaded = FiltComplex.from_json(json.dumps(data))
+    t1 = Poly.variable(1, char, 1)
+    merged = FiltComplex(1, char, c.generators, {1: [(0, t1 + t1)]}, c.augmentation)
+    assert loaded == merged
+    # 2 t1 over Q; over F2 the pair cancels and no entry is left
+    expected = [] if char is Char.TWO else [[0, 1, str(t1 + t1)]]
+    assert loaded.to_json_dict()["diff"] == expected
+    assert FiltComplex.from_json(loaded.to_json()) == merged
+    assert loaded.homology_dims(4) == merged.homology_dims(4)
 
 
 def test_json_augmentation_scalars_follow_the_characteristic():

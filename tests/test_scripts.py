@@ -63,7 +63,7 @@ def test_bench_records_micro_timings(tmp_path, monkeypatch):
     homology = record["micro"]["homology"]
     assert (homology["n"], homology["m"]) == (4, 1)
     assert {char: entry["max_degree"] for char, entry in homology["chars"].items()} == {"0": 24, "2": 12}
-    assert all(entry["homology_s"] > 0 for entry in homology["chars"].values())
+    assert all(entry["homology_s"] > 0 and entry["elimination_s"] > 0 for entry in homology["chars"].values())
 
 
 def _run(argv):
