@@ -100,8 +100,10 @@ class FiltComplex:
     generator gets a multidegree (``_multidegrees``) and every graded degree
     splits into small multidegree strands that ``homology_dims`` ranks
     instead of the whole degree.  ``degree_piece`` writes one graded degree
-    as sparse equations; ``solve_diff`` always solves those, and
-    ``homology_dims`` ranks them only for complexes that are not Z^n-graded.
+    as sparse equations; ``homology_dims`` ranks them only for complexes
+    that are not Z^n-graded, and ``solve_diff`` always solves them, since a
+    right-hand side need not lie in one strand and the solution it returns
+    fixes the lifted maps.
 
     An instance must not be mutated after construction: the multidegrees
     and the ranks ``homology_dims`` has computed are kept on the instance

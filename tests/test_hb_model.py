@@ -118,11 +118,15 @@ def _counting_field_rank(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("char", list(Char))
-def test_homology_counts_boundaries_from_degree_minus_one(char):
+def _degree_minus_one_complex(char) -> FiltComplex:
     # d(w) = a with w in degree -1, so a is a boundary and H^0 is spanned by 1
     gens = [Generator("1", 0, 0), Generator("a", 0, 0), Generator("w", -1, 1)]
-    c = FiltComplex(1, char, gens, {2: [(1, Poly.one(1, char))]}, [1, 0, 0])
+    return FiltComplex(1, char, gens, {2: [(1, Poly.one(1, char))]}, [1, 0, 0])
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_homology_counts_boundaries_from_degree_minus_one(char):
+    c = _degree_minus_one_complex(char)
     assert verify_filtration(c).passed
     for complex_ in (c, FiltComplex.from_json(c.to_json())):
         assert complex_.homology_dims(3)[0] == 1
@@ -193,18 +197,11 @@ def _homology_fixtures(char):
         for n in range(1, 5)
         for m in range(3)
     ]
-    degree_minus_one = FiltComplex(
-        1,
-        char,
-        [Generator("1", 0, 0), Generator("a", 0, 0), Generator("w", -1, 1)],
-        {2: [(1, Poly.one(1, char))]},
-        [1, 0, 0],
-    )
     return (
         koszul
         + [shuffled_complex(c, rng)[0] for c in koszul]
         + [rank_two_model(m, char) for m in range(3)]
-        + [twisted_two_var_model(char), degree_minus_one]
+        + [twisted_two_var_model(char), _degree_minus_one_complex(char)]
     )
 
 
