@@ -19,7 +19,13 @@ complexes: a shuffled level-0 Koszul complex, the ``lift`` workload's middle
 complex, which is ranked strand by strand (``homology_s``), and the Koszul
 complex on the linear forms t_i + t_(i+1), which is not Z^n-graded and so is
 ranked by eliminating whole degrees (``elimination_s``).  Each repetition
-ranks a fresh complex, so no kept ranks are reused.
+ranks a fresh complex, so no kept ranks are reused.  ``construct_alpha`` is
+timed on the same two complexes, whose ranks are computed beforehand so
+only the lifting solves are timed: in one multidegree strand on the middle
+complex (``alpha_s``), by whole degrees on the linear-forms complex
+(``alpha_fallback_s``).  The exact rank of the lift's composite map is
+timed as ``exact_rank_s`` (a full evaluation rank decides it), next to
+fraction-free elimination of the same matrix (``bareiss_s``).
 
 Usage:
     python scripts/bench.py --out BENCH.json --runs 3
@@ -38,15 +44,17 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from koszulrank.chain_maps import GradingMode, matrix_of_images, random_chain_map
+from koszulrank.chain_maps import GradingMode, RankMethod, matrix_of_images, random_chain_map, rank
 from koszulrank.hb_model import (
+    compose_to_gamma,
+    construct_alpha,
     default_truncation,
     koszul_filt_complex,
     linear_forms_koszul_complex,
     shuffled_complex,
 )
 from koszulrank.koszul import ComplexDescriptor
-from koszulrank.linalg import PrimeField, _reduce, gf2_field, random_prime
+from koszulrank.linalg import PrimeField, _reduce, bareiss_rank, gf2_field, random_prime
 from koszulrank.polynomials import Char, power_tables
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -176,6 +184,27 @@ def homology(repeat: int) -> dict:
     return out
 
 
+def lift(repeat: int) -> dict:
+    """Median lifting and exact-rank seconds per characteristic on the ``lift`` workload's complexes."""
+    rng = random.Random(MICRO_SEED)
+    out = {}
+    for char in (Char.ZERO, Char.TWO):
+        max_degree = default_truncation(HOMOLOGY_N, HOMOLOGY_M, char)
+        middle, unshuffle = shuffled_complex(koszul_filt_complex(ComplexDescriptor(HOMOLOGY_N, 0, char)), rng)
+        linear_forms = linear_forms_koszul_complex(HOMOLOGY_N, char)
+        for c in (middle, linear_forms):
+            c.homology_dims(max_degree)  # kept on the complex: construct_alpha ranks nothing again
+        gamma = compose_to_gamma(construct_alpha(middle, HOMOLOGY_M), unshuffle)
+        matrix = matrix_of_images(gamma.target, [gamma.images[i] for i in gamma.source.index_sets()])
+        out[str(char.value)] = {
+            "alpha_s": _timed(lambda: construct_alpha(middle, HOMOLOGY_M), repeat),
+            "alpha_fallback_s": _timed(lambda: construct_alpha(linear_forms, HOMOLOGY_M), repeat),
+            "exact_rank_s": _timed(lambda: rank(gamma, RankMethod.EXACT), repeat),
+            "bareiss_s": _timed(lambda: bareiss_rank(matrix), repeat),
+        }
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
@@ -201,6 +230,7 @@ def main() -> int:
             "repeat": REPEAT,
             "fields": micro(REPEAT),
             "homology": {"n": HOMOLOGY_N, "m": HOMOLOGY_M, "chars": homology(REPEAT)},
+            "lift": {"n": HOMOLOGY_N, "m": HOMOLOGY_M, "chars": lift(REPEAT)},
         },
     }
     if args.runs:

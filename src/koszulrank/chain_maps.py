@@ -7,10 +7,11 @@ The multiplicative baseline map sends s_I to the product of the t_i^m over
 I times s_I; every admissible map arises from it by homotopy perturbation,
 which is also how random maps are generated here.
 
-Ranks are taken over the fraction field of the polynomial ring, either by
-fraction-free elimination (authoritative) or by randomized evaluation in a
-large field of the same characteristic (fast; a full answer is certain, a
-deficient answer is wrong with negligible probability).
+Ranks are taken over the fraction field of the polynomial ring, either
+exactly (a full evaluation rank, else fraction-free elimination) or by
+randomized evaluation in a large field of the same characteristic (fast; a
+full answer is certain, a deficient answer is wrong with negligible
+probability).
 """
 
 from __future__ import annotations
@@ -376,10 +377,18 @@ def _column_rank(target: ComplexDescriptor, columns: Sequence[KElem], method: Ra
     """Rank of the image columns: the one place a chain-map rank is decided.
 
     The modular method evaluates in fields of ``prime_bits()`` bits, drawing
-    from ``rng`` (a fixed-seed generator when None).
+    from ``rng`` (a fixed-seed generator when None).  The exact method
+    evaluates first, at evaluation_rank's default size and from its own
+    fixed-seed generator, so neither ``rng`` nor KOSZUL_PRIME_BITS matters:
+    a full evaluation rank is the exact rank (a minor nonzero at a point is
+    a nonzero minor), and only a deficient one runs fraction-free
+    elimination.
     """
     matrix = matrix_of_images(target, columns)
     if method is RankMethod.EXACT:
+        full = min(len(matrix), len(columns))
+        if evaluation_rank(matrix, target.char, random.Random(0x5EED)) == full:
+            return full
         return bareiss_rank(matrix)
     if rng is None:
         rng = random.Random(0x5EED)

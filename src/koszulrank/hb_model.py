@@ -9,8 +9,9 @@ level-m Koszul complex whenever their cohomology vanishes above m, and a
 filtration-preserving map out to the level-0 Koszul complex; composing the
 two yields a unital chain map whose rank is bounded by the number of
 generators.  This module verifies instances of all three statements and
-constructs the inbound map by solving the lifting equations degreewise with
-exact linear algebra.
+constructs the inbound map by solving the lifting equations with exact
+linear algebra, one multidegree strand at a time where the complex is
+Z^n-graded.
 
 Elements are plain sparse dicts mapping generator index -> polynomial
 coefficient, updated through :func:`polynomials.add_into` and
@@ -98,12 +99,12 @@ class FiltComplex:
     When every differential entry is one scalar times one monomial, and the
     monomials agree around every cycle of entries, d is Z^n-graded: each
     generator gets a multidegree (``_multidegrees``) and every graded degree
-    splits into small multidegree strands that ``homology_dims`` ranks
-    instead of the whole degree.  ``degree_piece`` writes one graded degree
-    as sparse equations; ``homology_dims`` ranks them only for complexes
-    that are not Z^n-graded, and ``solve_diff`` always solves them, since a
-    right-hand side need not lie in one strand and the solution it returns
-    fixes the lifted maps.
+    splits into small multidegree strands, on which d is the scalar matrix
+    ``_scalar_columns``.  ``homology_dims`` ranks strands instead of whole
+    degrees, and ``solve_diff`` solves in the one strand its right-hand side
+    lies in.  ``degree_piece`` writes one graded degree as sparse equations;
+    it is ranked and solved only for complexes that are not Z^n-graded, and
+    solved for right-hand sides that span several strands.
 
     An instance must not be mutated after construction: the multidegrees
     and the ranks ``homology_dims`` has computed are kept on the instance
@@ -310,6 +311,22 @@ class FiltComplex:
                 mdeg[g] = tuple(a - low for a, low in zip(mdeg[g], lowest))
         return mdeg
 
+    @cached_property
+    def _scalar_columns(self) -> dict:
+        """The scalar column of d at each generator of a Z^n-graded complex.
+
+        Maps column generator -> {row generator: coefficient}, or in
+        characteristic 2 -> the set of row generators; on every strand d is
+        this matrix restricted to the strand's generators.  Only meaningful
+        when ``_multidegrees`` is not None (every entry has one term).
+        """
+        if self.char is Char.TWO:
+            return {col: {row for row, _ in entries} for col, entries in self.diff.items()}
+        return {
+            col: {row: coeff for row, poly in entries for coeff in poly.terms.values()}
+            for col, entries in self.diff.items()
+        }
+
     def _strand_pieces(self, mdeg: list, lo: int, hi: int) -> list[tuple[int, int]]:
         """(basis size, rank of d) of degrees lo..hi, summed over multidegree strands.
 
@@ -325,13 +342,8 @@ class FiltComplex:
         skipped.
         """
         td = self.char.t_degree
-        two = self.char is Char.TWO
         height = [gen.degree - td * sum(exps) for gen, exps in zip(self.generators, mdeg)]
-        columns = {  # the scalar column of d at each generator
-            col: {row for row, _ in entries} if two
-            else {row: coeff for row, poly in entries for coeff in poly.terms.values()}
-            for col, entries in self.diff.items()
-        }
+        columns = self._scalar_columns
         cuts = [sorted(set(exps)) for exps in zip(*mdeg)]
         top = (hi - min(height)) // td  # no strand with a larger |b| reaches degree hi
         pieces = [[0, 0] for _ in range(lo, hi + 1)]
@@ -364,22 +376,28 @@ class FiltComplex:
     def solve_diff(self, degree: int, rhs: dict, augment_to=None) -> dict | None:
         """An x in one graded degree with d(x) = rhs, or None if none exists.
 
-        With ``augment_to`` given, x must also augment to that value.
+        With ``augment_to`` given, x must also augment to that value.  When
+        ``_strand_of`` finds one strand holding the problem, only that
+        strand's scalar system is solved; otherwise the whole
+        ``degree_piece``.  Both give the same x: ``solve_linear`` returns the
+        solution supported on the leading coordinates of the row space, and
+        the degree's matrix is block-diagonal by strand, with each strand's
+        unknowns in the same relative order as their basis positions.
         """
-        basis, equations = self.degree_piece(degree)
-        key = self._coordinate_key(degree + 1)
-        system = []
+        td = self.char.t_degree
         for gidx, poly in rhs.items():
-            for pm, coeff in poly.terms.items():
-                if self.generators[gidx].degree + self.char.t_degree * sum(pm) != degree + 1:
-                    return None  # d(x) has no term outside degree + 1
-                system.append((equations.pop(key(pm, gidx), {}), coeff))
-        system.extend((eq, 0) for eq in equations.values())
+            if any(self.generators[gidx].degree + td * sum(pm) != degree + 1 for pm in poly.terms):
+                return None  # d(x) has no term outside degree + 1
+        strand = self._strand_of(degree, rhs, augment_to)
+        if strand is None:
+            coordinates, system = self._degree_system(degree, rhs)
+        else:
+            coordinates, system = self._strand_system(degree, strand, rhs)
         if augment_to is not None:
             zero_mono = (0,) * self.nvars
             aug_row = {
                 j: self.augmentation[gidx]
-                for j, (mono, gidx) in enumerate(basis)
+                for j, (mono, gidx) in coordinates.items()
                 if mono == zero_mono and self.augmentation[gidx]
             }
             system.append((aug_row, augment_to))
@@ -388,9 +406,82 @@ class FiltComplex:
             return None
         elem: dict = {}
         for j, value in solution.items():
-            mono, gidx = basis[j]
+            mono, gidx = coordinates[j]
             add_into(elem, gidx, Poly.monomial(self.nvars, self.char, mono, value))
         return elem
+
+    def _strand_of(self, degree: int, rhs: dict, augment_to) -> tuple | None:
+        """The multidegree b whose strand holds every term of rhs and, with
+        ``augment_to``, every generator of this degree that augments nonzero.
+
+        None when the complex is not Z^n-graded or no single strand holds
+        them all (they span several strands, or there are none).
+        """
+        mdeg = self._multidegrees
+        if mdeg is None:
+            return None
+        strands = {
+            tuple(a + e for a, e in zip(mdeg[gidx], pm))
+            for gidx, poly in rhs.items()
+            for pm in poly.terms
+        }
+        if augment_to is not None:
+            strands.update(
+                mdeg[g] for g, gen in enumerate(self.generators)
+                if gen.degree == degree and self.augmentation[g]
+            )
+        return strands.pop() if len(strands) == 1 else None
+
+    def _degree_system(self, degree: int, rhs: dict) -> tuple[dict, list]:
+        """The equations d(x) = rhs over the whole degree, from ``degree_piece``.
+
+        Returns (unknown -> (mono, generator index), system); the unknowns
+        are the basis positions and the system is ``solve_linear``'s rows.
+        """
+        basis, equations = self.degree_piece(degree)
+        key = self._coordinate_key(degree + 1)
+        system = [
+            (equations.pop(key(pm, gidx), {}), coeff)
+            for gidx, poly in rhs.items()
+            for pm, coeff in poly.terms.items()
+        ]
+        system.extend((eq, 0) for eq in equations.values())
+        return dict(enumerate(basis)), system
+
+    def _strand_system(self, degree: int, b: tuple, rhs: dict) -> tuple[dict, list]:
+        """The equations d(x) = rhs within the strand of multidegree b, which holds rhs.
+
+        Returns what ``_degree_system`` does.  The unknowns are the
+        generators g with mdeg g <= b in this degree, each standing for the
+        coordinate t^(b - mdeg g) g; the equations are the scalar columns of
+        d, indexed by row generator.  A strand holds each generator at most
+        once, so each generator of rhs has one term here.
+        """
+        mdeg = self._multidegrees
+        td = self.char.t_degree
+        height = degree - td * sum(b)  # deg g - td |mdeg g| of every unknown g
+        coordinates = {
+            g: (tuple(f - e for f, e in zip(b, exps)), g)
+            for g, (gen, exps) in enumerate(zip(self.generators, mdeg))
+            if gen.degree - td * sum(exps) == height and all(e <= f for e, f in zip(exps, b))
+        }
+        two = self.char is Char.TWO
+        equations: dict = {}  # row generator -> its row over the unknowns
+        for g in coordinates:
+            column = self._scalar_columns.get(g, {})
+            if two:
+                for row in column:
+                    equations.setdefault(row, set()).add(g)
+            else:
+                for row, coeff in column.items():
+                    equations.setdefault(row, {})[g] = coeff
+        system = [
+            (equations.pop(gidx, {}), coeff)
+            for gidx, poly in rhs.items()
+            for coeff in poly.terms.values()
+        ]
+        system.extend((eq, 0) for eq in equations.values())
+        return coordinates, system
 
     def unit_cocycle(self) -> dict | None:
         """A degree-0 cocycle with augmentation 1, or None if none exists."""

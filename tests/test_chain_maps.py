@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from koszulrank import chain_maps
+from koszulrank.certificates import bound_report
 from koszulrank.chain_maps import (
     ChainMap,
     GradingMode,
@@ -11,6 +13,7 @@ from koszulrank.chain_maps import (
     homotopy_perturb,
     iota,
     is_degree_preserving,
+    matrix_of_images,
     pair_coefficient,
     pair_has_multiplicative_form,
     random_chain_map,
@@ -20,6 +23,7 @@ from koszulrank.chain_maps import (
     verify_chain_map,
 )
 from koszulrank.koszul import ComplexDescriptor, KElem, random_kelem
+from koszulrank.linalg import bareiss_rank
 from koszulrank.polynomials import Char, Poly
 
 
@@ -147,13 +151,79 @@ def test_inhomogeneous_correction_breaks_full_grading():
     assert not is_degree_preserving(perturbed, GradingMode.FULL)
 
 
-def test_rank_of_degenerate_matrix():
-    g = iota(2, 1, Char.ZERO)
+def _degenerate_map(char=Char.ZERO) -> ChainMap:
+    """Every image but the unit's is zero: rank 1."""
+    g = iota(2, 1, char)
     images = {indices: g.target.zero() for indices in g.source.index_sets()}
     images[()] = g.target.one()
-    degenerate = ChainMap(g.source, g.target, images)
+    return ChainMap(g.source, g.target, images)
+
+
+def test_rank_of_degenerate_matrix():
+    degenerate = _degenerate_map()
     assert rank(degenerate, RankMethod.EXACT) == 1
     assert rank(degenerate, RankMethod.MODULAR, random.Random(1)) == 1
+
+
+def _exact_rank_cases(char) -> list[ChainMap]:
+    """Full-rank maps and deficient ones (the degenerate map; a map whose
+    images repeat, so its rank is below 2^n)."""
+    rng = random.Random(31)
+    full = [iota(3, 1, char)] + [random_chain_map(n, 1, char, rng, max_terms=2) for n in (2, 3, 4)]
+    g = full[1]
+    repeated = {indices: g.images[(1,) if indices == (2,) else indices] for indices in g.source.index_sets()}
+    return full + [_degenerate_map(char), ChainMap(g.source, g.target, repeated)]
+
+
+def _bareiss_of(g: ChainMap) -> int:
+    return bareiss_rank(matrix_of_images(g.target, [g.images[i] for i in g.source.index_sets()]))
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_exact_rank_equals_bareiss_on_full_and_deficient_maps(char):
+    ranks = [(rank(g, RankMethod.EXACT), _bareiss_of(g)) for g in _exact_rank_cases(char)]
+    assert all(exact == bareiss for exact, bareiss in ranks), ranks
+    assert ranks[0][0] == 8 and ranks[-2][0] == 1 and ranks[-1][0] < 4
+
+
+def test_exact_rank_runs_bareiss_only_after_a_deficient_evaluation(monkeypatch):
+    calls = []
+    bareiss = chain_maps.bareiss_rank
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return bareiss(matrix)
+
+    monkeypatch.setattr(chain_maps, "bareiss_rank", counting)
+    g = iota(3, 1, Char.ZERO)
+    assert rank(g, RankMethod.EXACT) == 8
+    assert calls == []  # the evaluation was full
+    assert rank(_degenerate_map(), RankMethod.EXACT) == 1
+    assert calls == [4]  # a deficient evaluation proves nothing
+    monkeypatch.setattr(chain_maps, "evaluation_rank", lambda matrix, char, rng: 7)
+    assert rank(g, RankMethod.EXACT) == 8
+    assert calls == [4, 8]
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_exact_bound_report_leaves_the_callers_rng_alone(char):
+    rng = random.Random(37)
+    g = random_chain_map(3, 1, char, rng)
+    state = rng.getstate()
+    report = bound_report(g, RankMethod.EXACT, rng=rng)
+    assert rng.getstate() == state
+    assert report.rank == _bareiss_of(g)
+
+
+@pytest.mark.parametrize("bits", ["2", "abc", "65"])
+def test_exact_rank_ignores_prime_bits(monkeypatch, bits):
+    # KOSZUL_PRIME_BITS sizes the modular method's fields only; an invalid
+    # value is the CLI's usage error, never a library exact rank's
+    cases = _exact_rank_cases(Char.ZERO) + _exact_rank_cases(Char.TWO)
+    monkeypatch.delenv("KOSZUL_PRIME_BITS", raising=False)
+    expected = [rank(g, RankMethod.EXACT) for g in cases]
+    monkeypatch.setenv("KOSZUL_PRIME_BITS", bits)
+    assert [rank(g, RankMethod.EXACT) for g in cases] == expected
 
 
 def test_rank_methods_agree_on_random_maps():

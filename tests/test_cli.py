@@ -209,6 +209,10 @@ GOLDEN_STDOUT = [
      "5cac0b14064a777e1889be786fd62ea7ee99f177f93790a2a2387eb7c64d583e"),
     ("cancellation --n 9 --char 2 --m 2 --trials 5 --seed 7",
      "fa86a82c359a48f051638939385f42d6fcb7d20160e15160f1be7bfccaf70c62"),
+    # recorded before exact ranks evaluated first, when this run took minutes
+    # of fraction-free elimination
+    ("certify --n 5 --char 2 --grading full --rank-method exact --trials 3 --seed 7",
+     "2a9d4a8c384554ba4f2b0fe161f994909c78fdf72375324c4ff00367376582e8"),
 ]
 
 # (KOSZUL_PRIME_BITS, args, sha256 of stdout), recorded before the char-2 field

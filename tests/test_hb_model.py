@@ -182,12 +182,17 @@ def _counting_degree_piece(monkeypatch) -> list:
     return calls
 
 
-def _eliminated_dims(c: FiltComplex, max_degree: int, monkeypatch) -> dict:
-    """homology_dims of a fresh copy of c with the strand path switched off."""
+def _without_strands(c: FiltComplex, run, monkeypatch):
+    """run(copy) on a fresh copy of c with the strand path switched off."""
     copy = FiltComplex(c.nvars, c.char, c.generators, c.diff, c.augmentation)
     with monkeypatch.context() as patch:
         patch.setattr(FiltComplex, "_multidegrees", None)
-        return copy.homology_dims(max_degree)
+        return run(copy)
+
+
+def _eliminated_dims(c: FiltComplex, max_degree: int, monkeypatch) -> dict:
+    """homology_dims of a fresh copy of c with the strand path switched off."""
+    return _without_strands(c, lambda copy: copy.homology_dims(max_degree), monkeypatch)
 
 
 def _homology_fixtures(char):
@@ -244,6 +249,109 @@ def test_monomials_that_disagree_around_a_cycle_are_not_multigraded(monkeypatch,
     dims = c.homology_dims(4)
     assert pieces == list(range(-1, 5))
     assert dims[0] == 2  # u and v: d(x) and d(y) are independent, so no cocycle among x, y
+
+
+def _texts(solutions) -> list:
+    """Solutions (element dicts, or None) in printed form, generators in order."""
+    return [
+        None if x is None else sorted((g, str(poly)) for g, poly in x.items())
+        for x in solutions
+    ]
+
+
+def _lifting_fixtures(char):
+    """(target, m) pairs that construct_alpha lifts into."""
+    rng = random.Random(13)
+    koszul = [koszul_filt_complex(ComplexDescriptor(n, 0, char)) for n in range(1, 5)]
+    targets = koszul + [shuffled_complex(c, rng)[0] for c in koszul]
+    # H(rank_two_model(k)) lives in degrees 0..k * t_degree
+    return [(c, m) for c in targets for m in (1, 2)] + [
+        (rank_two_model(k, char), k * char.t_degree) for k in range(3)
+    ]
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_strand_lifting_matches_elimination(monkeypatch, char):
+    pieces = _counting_degree_piece(monkeypatch)
+    for c, m in _lifting_fixtures(char):
+        pieces.clear()
+        alpha = construct_alpha(c, m)
+        assert pieces == []  # every solve, the unit cocycle's too, stayed in one strand
+        reference = _without_strands(c, lambda copy: construct_alpha(copy, m), monkeypatch)
+        assert pieces  # the reference solved degree pieces
+        assert alpha.images == reference.images
+        assert _texts(alpha.images) == _texts(reference.images)
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_strand_solves_match_elimination(monkeypatch, char):
+    # the twisted model never lifts, so pose its equations directly: the
+    # unit cocycle, d of each coordinate (solvable) and each coordinate itself
+    targets = [c for c, _ in _lifting_fixtures(char)] + [twisted_two_var_model(char)]
+    for c in targets:
+        problems = [(0, {}, 1)]
+        for degree in range(-1, 2 + char.t_degree):
+            for mono, g in c.basis_at(degree):
+                coordinate = {g: Poly.monomial(c.nvars, char, mono)}
+                problems.append((degree, c.apply_diff(coordinate), None))
+                problems.append((degree - 1, coordinate, None))
+
+        def solve(complex_, problems=problems):
+            return [complex_.solve_diff(*problem) for problem in problems]
+
+        solutions = solve(c)
+        assert _texts(solutions) == _texts(_without_strands(c, solve, monkeypatch))
+        for (_, rhs, _), x in zip(problems[1:], solutions[1:]):
+            assert x is None or c.apply_diff(x) == rhs
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_rhs_spanning_two_strands_falls_back_to_the_degree_piece(monkeypatch, char):
+    c = koszul_filt_complex(ComplexDescriptor(2, 0, char))  # 1, s1, s2, s12
+    t1, t2 = Poly.variable(2, char, 1), Poly.variable(2, char, 2)
+    degree = c.generators[1].degree + char.t_degree
+    parts = [c.apply_diff({1: t1}), c.apply_diff({2: t2})]  # strands 2e1 and 2e2
+    rhs = c.apply_diff({1: t1, 2: t2})
+    pieces = _counting_degree_piece(monkeypatch)
+    solution = c.solve_diff(degree, rhs)
+    assert pieces == [degree]
+    assert c.apply_diff(solution) == rhs
+    reference = _without_strands(c, lambda copy: copy.solve_diff(degree, rhs), monkeypatch)
+    assert _texts([solution]) == _texts([reference])
+    pieces.clear()
+    summed: dict = {}
+    for part in parts:  # the degree's matrix is block-diagonal by strand
+        for g, poly in c.solve_diff(degree, part).items():
+            add_into(summed, g, poly)
+    assert pieces == []
+    assert summed == solution
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_augmentation_spanning_two_strands_falls_back_to_the_degree_piece(monkeypatch, char):
+    # 1 and v both augment to 1, and d(e) = t1 1 - t2 v puts them in the
+    # strands of multidegrees (0, 1) and (1, 0)
+    t1, t2 = Poly.variable(2, char, 1), Poly.variable(2, char, 2)
+    gens = [Generator("1", 0, 0), Generator("v", 0, 0), Generator("e", char.s_degree(0), 1)]
+    c = FiltComplex(2, char, gens, {2: [(0, t1), (1, -t2)]}, [1, 1, 0])
+    assert c._multidegrees == [(0, 1), (1, 0), (1, 1)]
+    pieces = _counting_degree_piece(monkeypatch)
+    report = verify_filtration(c)
+    assert report.passed, report.violations
+    assert pieces == [0]
+    assert report.unit == c.gen_elem(0)
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_linear_forms_complex_lifts_through_elimination(monkeypatch, char):
+    c = linear_forms_koszul_complex(3, char)
+    max_degree = default_truncation(3, 1, char)
+    pieces = _counting_degree_piece(monkeypatch)
+    alpha = construct_alpha(c, 1)
+    assert verify_alpha(alpha).passed
+    # one piece per ranked degree -1..max_degree, and one per solve: the
+    # unit cocycle and a lift of each of the 7 other generators of K_3(1)
+    assert len(pieces) == (max_degree + 2) + 2 ** 3
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,11 @@ def test_bench_records_micro_timings(tmp_path, monkeypatch):
     assert (homology["n"], homology["m"]) == (4, 1)
     assert {char: entry["max_degree"] for char, entry in homology["chars"].items()} == {"0": 24, "2": 12}
     assert all(entry["homology_s"] > 0 and entry["elimination_s"] > 0 for entry in homology["chars"].values())
+    lift = record["micro"]["lift"]
+    assert (lift["n"], lift["m"]) == (4, 1) and set(lift["chars"]) == {"0", "2"}
+    for entry in lift["chars"].values():
+        assert set(entry) == {"alpha_s", "alpha_fallback_s", "exact_rank_s", "bareiss_s"}
+        assert all(seconds > 0 for seconds in entry.values())
 
 
 def _run(argv):
