@@ -85,7 +85,7 @@ class ChainMap:
     :func:`verify_chain_map` so that deliberately broken maps can still be
     built, e.g. as plain matrices for rank experiments.  ``images`` is a
     read-only mapping: a plain dict for maps given image by image, or the
-    lazily computed images of :func:`homotopy_perturb`.
+    lazily built images of :func:`iota` and :func:`homotopy_perturb`.
     """
 
     __slots__ = ("source", "target", "images")
@@ -95,7 +95,7 @@ class ChainMap:
             raise ValueError("source and target must share variables and characteristic")
         if target.level != 0:
             raise ValueError("target must be the level-0 complex")
-        if isinstance(images, (_BaselineImages, _PerturbedImages)) and images.shape == (source, target):
+        if isinstance(images, _LazyImages) and (images.source, images.target) == (source, target):
             fixed = images  # keys and targets are right by construction
         else:
             fixed = {}
@@ -200,41 +200,42 @@ class ChainMapReport:
         return self.unital and self.commutes
 
 
-class _BaselineImages(Mapping):
-    """The images s_I -> (prod_{i in I} t_i^m) s_I of :func:`iota`, each built
-    when first read.
+def _is_index_set(indices, nvars: int) -> bool:
+    """Whether ``indices`` is an index set of a complex in ``nvars`` variables."""
+    if not isinstance(indices, tuple):
+        return False
+    try:
+        _check_index_set(indices, nvars)
+    except (TypeError, ValueError):
+        return False
+    return True
 
-    Keys are the source's index sets in ``index_sets()`` order and every image
-    lies in the level-0 target.
+
+class _LazyImages(Mapping):
+    """Generator images of a map from ``source`` to ``target``, each built by
+    ``build(indices)`` when first read and then cached.
+
+    Keys are the source's index sets in ``index_sets()`` order; ``build``
+    raises KeyError on any other key and returns an element of ``target``.
+    Reading every value (``items()``, ``==``, serialization) builds them all.
     """
 
-    __slots__ = ("source", "target", "_cache")
+    __slots__ = ("source", "target", "_build", "_cache")
 
-    def __init__(self, source: ComplexDescriptor):
+    def __init__(self, source: ComplexDescriptor, target: ComplexDescriptor, build):
         self.source = source
-        self.target = ComplexDescriptor(source.nvars, 0, source.char)
+        self.target = target
+        self._build = build
         self._cache: dict[IndexSet, KElem] = {}
-
-    @property
-    def shape(self) -> tuple[ComplexDescriptor, ComplexDescriptor]:
-        return self.source, self.target
 
     def __getitem__(self, indices: IndexSet) -> KElem:
         img = self._cache.get(indices)
         if img is None:
-            if indices not in self:
-                raise KeyError(indices)
-            img = self._cache[indices] = KElem._raw(self.target, {indices: self.source.monomial(indices)})
+            img = self._cache[indices] = self._build(indices)
         return img
 
     def __contains__(self, indices) -> bool:
-        if not isinstance(indices, tuple):
-            return False
-        try:
-            _check_index_set(indices, self.source.nvars)
-        except (TypeError, ValueError):
-            return False
-        return True
+        return _is_index_set(indices, self.source.nvars)
 
     def __iter__(self):
         return self.source.index_sets()
@@ -246,10 +247,19 @@ class _BaselineImages(Mapping):
 def iota(n: int, m: int, char: Char) -> ChainMap:
     """The multiplicative baseline map s_I -> (prod_{i in I} t_i^m) s_I.
 
-    Its images are built when first read (see :class:`_BaselineImages`).
+    Its images are built when first read (see :class:`_LazyImages`).
     """
-    images = _BaselineImages(ComplexDescriptor(n, m, char))
-    return ChainMap(images.source, images.target, images)
+    source = ComplexDescriptor(n, m, char)
+    target = ComplexDescriptor(n, 0, char)
+
+    def build(indices: IndexSet) -> KElem:
+        # not ``indices in images``: a build that refers to its own mapping
+        # makes a reference cycle, and each map then waits for the cyclic GC
+        if not _is_index_set(indices, n):
+            raise KeyError(indices)
+        return KElem._raw(target, {indices: source.monomial(indices)})
+
+    return ChainMap(source, target, _LazyImages(source, target, build))
 
 
 def verify_chain_map(g: ChainMap) -> ChainMapReport:
@@ -275,55 +285,12 @@ def verify_chain_map(g: ChainMap) -> ChainMapReport:
     return ChainMapReport(unital, commutes, unital and commutes, failures)
 
 
-class _PerturbedImages(Mapping):
-    """Generator images x -> g(x) + d(h(x)) + h(d(x)), each computed when first read.
-
-    Keys are those of ``base.images`` (``index_sets()`` order) and every image
-    lies in ``base.target``.  Reading a value computes and caches that one
-    image, so a verdict that reads a few images pays only for those; reading
-    every value (``items()``, ``==``, serialization) computes them all.
-    """
-
-    __slots__ = ("base", "homotopy", "_cache")
-
-    def __init__(self, base: ChainMap, homotopy: Homotopy):
-        self.base = base
-        self.homotopy = homotopy
-        self._cache: dict[IndexSet, KElem] = {}
-
-    @property
-    def shape(self) -> tuple[ComplexDescriptor, ComplexDescriptor]:
-        return self.base.source, self.base.target
-
-    def __getitem__(self, indices: IndexSet) -> KElem:
-        img = self._cache.get(indices)
-        if img is None:
-            g, h = self.base, self.homotopy
-            img = g.images[indices]
-            val = h.values.get(indices)
-            if val is not None:
-                img = img + val.differential()
-            if indices:
-                img = img + h.applied_to(g.source.generator(indices).differential(), g.target)
-            self._cache[indices] = img
-        return img
-
-    def __contains__(self, indices) -> bool:
-        return indices in self.base.images
-
-    def __iter__(self):
-        return iter(self.base.images)
-
-    def __len__(self) -> int:
-        return len(self.base.images)
-
-
 def homotopy_perturb(g: ChainMap, h: Homotopy) -> ChainMap:
     """The perturbed map x -> g(x) + d(h(x)) + h(d(x)) on generators.
 
     Perturbation preserves the chain-map law and unitality, so the result of
     perturbing a valid map is again valid by construction.  Each image is
-    computed when it is first read (see :class:`_PerturbedImages`).  The
+    computed when it is first read (see :class:`_LazyImages`).  The
     values of :func:`random_homotopy` lie in their target by construction;
     other values are checked here.
     """
@@ -333,7 +300,17 @@ def homotopy_perturb(g: ChainMap, h: Homotopy) -> ChainMap:
     drawn = isinstance(h.values, _DrawnValues) and h.values.target == g.target
     if not drawn and any(val.desc != g.target for val in h.values.values()):
         raise ValueError("homotopy values must lie in the target complex")
-    return ChainMap(g.source, g.target, _PerturbedImages(g, h))
+
+    def build(indices: IndexSet) -> KElem:
+        img = g.images[indices]
+        val = h.values.get(indices)
+        if val is not None:
+            img = img + val.differential()
+        if indices:
+            img = img + h.applied_to(g.source.generator(indices).differential(), g.target)
+        return img
+
+    return ChainMap(g.source, g.target, _LazyImages(g.source, g.target, build))
 
 
 def is_degree_preserving(g: ChainMap, mode: GradingMode) -> bool:

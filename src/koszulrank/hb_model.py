@@ -223,11 +223,11 @@ class FiltComplex:
 
         Returns (basis, equations): basis is ``basis_at(degree)``, and
         equations maps the ``_coordinate_key(degree + 1)`` of each coordinate
-        of degree + 1 that d reaches to the row of d there, over basis
-        positions: a coefficient dict, or in characteristic 2 a set of positions.
+        of degree + 1 that d reaches to the row of d there, a dict from basis
+        position to coefficient.  d has one entry per (row, column) and the
+        key is injective, so each position enters each row at most once.
         """
         basis = self.basis_at(degree)
-        two = self.char is Char.TWO
         key = self._coordinate_key(degree + 1)
         shifts = {
             gidx: [(key(pm, row), coeff) for row, poly in entries for pm, coeff in poly.terms.items()]
@@ -237,17 +237,7 @@ class FiltComplex:
         for j, (mono, gidx) in enumerate(basis):
             base = key(mono, 0)
             for shift, coeff in shifts.get(gidx, ()):
-                eq = equations.get(base + shift)
-                if eq is None:
-                    equations[base + shift] = {j} if two else {j: coeff}
-                elif two:
-                    eq ^= {j}
-                else:
-                    s = eq.get(j, 0) + coeff
-                    if s:
-                        eq[j] = s
-                    else:
-                        del eq[j]
+                equations.setdefault(base + shift, {})[j] = coeff
         return basis, equations
 
     def homology_dims(self, max_degree: int) -> dict[int, int]:
@@ -315,13 +305,11 @@ class FiltComplex:
     def _scalar_columns(self) -> dict:
         """The scalar column of d at each generator of a Z^n-graded complex.
 
-        Maps column generator -> {row generator: coefficient}, or in
-        characteristic 2 -> the set of row generators; on every strand d is
-        this matrix restricted to the strand's generators.  Only meaningful
-        when ``_multidegrees`` is not None (every entry has one term).
+        Maps column generator -> {row generator: coefficient}; on every
+        strand d is this matrix restricted to the strand's generators.  Only
+        meaningful when ``_multidegrees`` is not None (every entry has one
+        term).
         """
-        if self.char is Char.TWO:
-            return {col: {row for row, _ in entries} for col, entries in self.diff.items()}
         return {
             col: {row: coeff for row, poly in entries for coeff in poly.terms.values()}
             for col, entries in self.diff.items()
@@ -465,16 +453,10 @@ class FiltComplex:
             for g, (gen, exps) in enumerate(zip(self.generators, mdeg))
             if gen.degree - td * sum(exps) == height and all(e <= f for e, f in zip(exps, b))
         }
-        two = self.char is Char.TWO
         equations: dict = {}  # row generator -> its row over the unknowns
         for g in coordinates:
-            column = self._scalar_columns.get(g, {})
-            if two:
-                for row in column:
-                    equations.setdefault(row, set()).add(g)
-            else:
-                for row, coeff in column.items():
-                    equations.setdefault(row, {})[g] = coeff
+            for row, coeff in self._scalar_columns.get(g, {}).items():
+                equations.setdefault(row, {})[g] = coeff
         system = [
             (equations.pop(gidx, {}), coeff)
             for gidx, poly in rhs.items()

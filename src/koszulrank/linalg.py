@@ -5,8 +5,9 @@ Three layers live here:
 * sparse Gaussian elimination: one leading-coordinate loop, ``_reduce``,
   ranks and solves over Q and F2 (degreewise homology, lifting problems)
   and ranks evaluated matrices over F_p and GF(2^k); each field supplies
-  mul, inv and the row update ``axpy``, and F2 rows are coordinate sets
-  reduced by XOR;
+  mul, inv and the row update ``axpy``.  Callers pass rows as dicts in
+  every field; over F2 only their keys count, and the coordinate sets
+  reduced by XOR are internal to ``_reduce``;
 * fraction-free (Bareiss) elimination over the polynomial ring itself, the
   authoritative rank/determinant/kernel routines over the fraction field;
 * randomized evaluation ranks: matrices of polynomials are evaluated at
@@ -107,17 +108,19 @@ class PrimeField:
 
 
 _Q = Rationals()
-_F2 = PrimeField(2)  # its vectors are coordinate sets, reduced by symmetric difference
+_F2 = PrimeField(2)  # _reduce keeps its rows as coordinate sets, reduced by symmetric difference
 
 
 def _reduce(vectors, field, upper: int | None = None) -> dict:
     """Echelon form of a family of sparse vectors: leading coordinate -> pivot.
 
-    Vectors map coordinate -> nonzero field element (coordinate sets over
-    F2).  Each is reduced by its smallest coordinate against the pivots found
-    so far, scaled to lead 1, until it vanishes or becomes a new pivot, so
-    nearly block-diagonal families eliminate with almost no fill-in.  Stops
-    once ``upper`` pivots are found.  ``field`` supplies mul, inv and the row
+    Vectors map coordinate -> nonzero field element.  Over F2 only the keys
+    count: each vector is copied into a coordinate set and reduced by XOR,
+    and the pivots returned are such sets.  Each vector is reduced by its
+    smallest coordinate against the pivots found so far, scaled to lead 1,
+    until it vanishes or becomes a new pivot, so nearly block-diagonal
+    families eliminate with almost no fill-in.  Stops once ``upper`` pivots
+    are found.  ``field`` supplies mul, inv and the row
     update ``axpy(row, f, pivot)``, which subtracts f times a pivot in place.
     """
     pivots: dict = {}
@@ -157,8 +160,8 @@ def _base_field(char: Char):
 def field_rank(vectors, char: Char) -> int:
     """Rank of a family of sparse vectors over the base field.
 
-    Characteristic 0 vectors are dicts mapping coordinate -> int/Fraction;
-    characteristic 2 vectors are sets (or dicts) of coordinates.
+    Vectors are dicts mapping coordinate -> nonzero int/Fraction; in
+    characteristic 2 only their keys count.
     """
     return len(_reduce(vectors, _base_field(char)))
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -34,14 +35,44 @@ def test_iota_images_and_unitality():
     assert g.images[(1, 2)] == expected
 
 
-def test_iota_images_hold_exactly_the_index_sets():
-    images = iota(3, 1, Char.ZERO).images
+def _perturbed_plain_iota() -> ChainMap:
+    base = iota(3, 1, Char.ZERO)
+    base = ChainMap(base.source, base.target, dict(base.images))
+    return homotopy_perturb(base, random_homotopy(base.source, random.Random(5)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: iota(3, 1, Char.ZERO),
+        lambda: random_chain_map(3, 1, Char.ZERO, random.Random(4)),
+        _perturbed_plain_iota,
+    ],
+    ids=["iota", "random", "perturbed-dict"],
+)
+def test_iota_images_hold_exactly_the_index_sets(make):
+    g = make()
+    images = g.images
+    assert list(images) == list(g.source.index_sets())
+    assert len(images) == 8
     assert all(indices in images for indices in images)
     assert [1] not in images
     for key in [(2, 1), (1, 1), (0,), (4,), (1, "2"), "1"]:
         assert key not in images
         with pytest.raises(KeyError):
             images[key]
+
+
+def test_lazy_images_are_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        g = random_chain_map(3, 1, Char.ZERO, random.Random(2))
+        assert len(list(g.images.values())) == 8
+        del g
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_iota_passes_verification():

@@ -251,6 +251,28 @@ def test_monomials_that_disagree_around_a_cycle_are_not_multigraded(monkeypatch,
     assert dims[0] == 2  # u and v: d(x) and d(y) are independent, so no cocycle among x, y
 
 
+@pytest.mark.parametrize("char", list(Char))
+def test_degree_piece_holds_exactly_the_coefficients_of_d(char):
+    complexes = [
+        linear_forms_koszul_complex(3, char),
+        linear_forms_koszul_complex(4, char),
+        shuffled_complex(koszul_filt_complex(ComplexDescriptor(3, 1, char)), random.Random(17))[0],
+        twisted_two_var_model(char),
+    ]
+    for c in complexes:
+        for degree in range(-1, 7):
+            basis, equations = c.degree_piece(degree)
+            assert basis == c.basis_at(degree)
+            key = c._coordinate_key(degree + 1)
+            expected: dict = {}
+            for j, (mono, g) in enumerate(basis):
+                image = c.apply_diff({g: Poly.monomial(c.nvars, char, mono)})
+                for row, poly in image.items():
+                    for pm, coeff in poly.terms.items():
+                        expected.setdefault(key(pm, row), {})[j] = coeff
+            assert equations == expected
+
+
 def _texts(solutions) -> list:
     """Solutions (element dicts, or None) in printed form, generators in order."""
     return [
