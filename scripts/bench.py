@@ -25,7 +25,10 @@ only the lifting solves are timed: in one multidegree strand on the middle
 complex (``alpha_s``), by whole degrees on the linear-forms complex
 (``alpha_fallback_s``).  The exact rank of the lift's composite map is
 timed as ``exact_rank_s`` (a full evaluation rank decides it), next to
-fraction-free elimination of the same matrix (``bareiss_s``).
+fraction-free elimination of the same matrix (``bareiss_s``).  ``certify``
+holds in-process seconds per trial of ``certify --m 1 --grading full --seed
+7`` per characteristic at n = 8 and 9: one ``cli.main`` call of ``REPEAT``
+trials, its time divided by ``REPEAT``.
 
 Usage:
     python scripts/bench.py --out BENCH.json --runs 3
@@ -44,6 +47,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+from koszulrank import cli
 from koszulrank.chain_maps import GradingMode, RankMethod, matrix_of_images, random_chain_map, rank
 from koszulrank.hb_model import (
     compose_to_gamma,
@@ -63,6 +67,9 @@ MICRO_SEED = 0xBE7C
 REPEAT = 5  # repetitions of each micro-timing
 HOMOLOGY_N = 4
 HOMOLOGY_M = 1
+CERTIFY_NS = (8, 9)
+CERTIFY_M = 1
+CERTIFY_SEED = 7
 
 
 def commit_of(checkout: Path) -> dict:
@@ -205,6 +212,25 @@ def lift(repeat: int) -> dict:
     return out
 
 
+def certify(repeat: int) -> dict:
+    """In-process seconds per ``certify`` trial, per characteristic and n."""
+    gf2_field(32)  # built once per process (about 50 ms); no trial should pay for it
+    out = {}
+    for char in (Char.ZERO, Char.TWO):
+        out[str(char.value)] = entry = {}
+        for n in CERTIFY_NS:
+            argv = ["certify", "--n", str(n), "--m", str(CERTIFY_M), "--char", str(char.value),
+                    "--grading", "full", "--seed", str(CERTIFY_SEED), "--trials", str(repeat),
+                    "--out", os.devnull]
+            start = perf_counter()
+            code = cli.main(argv)
+            seconds = perf_counter() - start
+            if code != cli.EXIT_OK:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
+            entry[str(n)] = seconds / repeat
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
@@ -231,6 +257,8 @@ def main() -> int:
             "fields": micro(REPEAT),
             "homology": {"n": HOMOLOGY_N, "m": HOMOLOGY_M, "chars": homology(REPEAT)},
             "lift": {"n": HOMOLOGY_N, "m": HOMOLOGY_M, "chars": lift(REPEAT)},
+            "certify": {"m": CERTIFY_M, "grading": "full", "seed": CERTIFY_SEED, "trials": REPEAT,
+                        "chars": certify(REPEAT)},
         },
     }
     if args.runs:

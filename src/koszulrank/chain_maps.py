@@ -11,7 +11,8 @@ Ranks are taken over the fraction field of the polynomial ring, either
 exactly (a full evaluation rank, else fraction-free elimination) or by
 randomized evaluation in a large field of the same characteristic (fast; a
 full answer is certain, a deficient answer is wrong with negligible
-probability).
+probability).  Random maps are evaluated from their homotopy draws, so
+neither a rank nor a full grading check builds their images.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from enum import Enum
 from collections.abc import Mapping, Sequence
 
 from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, random_monomial
-from .linalg import bareiss_rank, evaluation_rank
-from .polynomials import Char, Poly, add_into, add_scaled
+from .linalg import bareiss_rank, evaluation_rank, rank_at_points
+from .polynomials import Char, Poly, add_into, add_scaled, power_tables
 
 __all__ = [
     "GradingMode",
@@ -218,15 +219,21 @@ class _LazyImages(Mapping):
     Keys are the source's index sets in ``index_sets()`` order; ``build``
     raises KeyError on any other key and returns an element of ``target``.
     Reading every value (``items()``, ``==``, serialization) builds them all.
+    A perturbation also keeps its ``base`` map and, when its homotopy values
+    are those of :func:`random_homotopy`, their ``draws``, from which ranks
+    and gradings are read without building images (``draws`` is None
+    otherwise).
     """
 
-    __slots__ = ("source", "target", "_build", "_cache")
+    __slots__ = ("source", "target", "_build", "_cache", "base", "draws")
 
-    def __init__(self, source: ComplexDescriptor, target: ComplexDescriptor, build):
+    def __init__(self, source: ComplexDescriptor, target: ComplexDescriptor, build, base=None, draws=None):
         self.source = source
         self.target = target
         self._build = build
         self._cache: dict[IndexSet, KElem] = {}
+        self.base = base
+        self.draws = draws
 
     def __getitem__(self, indices: IndexSet) -> KElem:
         img = self._cache.get(indices)
@@ -291,8 +298,9 @@ def homotopy_perturb(g: ChainMap, h: Homotopy) -> ChainMap:
     Perturbation preserves the chain-map law and unitality, so the result of
     perturbing a valid map is again valid by construction.  Each image is
     computed when it is first read (see :class:`_LazyImages`).  The
-    values of :func:`random_homotopy` lie in their target by construction;
-    other values are checked here.
+    values of :func:`random_homotopy` lie in their target by construction,
+    and the map keeps their draws for evaluation ranks; other values are
+    checked here.
     """
     empty = h.values.get(())
     if empty is not None and not empty.is_zero():
@@ -310,30 +318,47 @@ def homotopy_perturb(g: ChainMap, h: Homotopy) -> ChainMap:
             img = img + h.applied_to(g.source.generator(indices).differential(), g.target)
         return img
 
-    return ChainMap(g.source, g.target, _LazyImages(g.source, g.target, build))
+    draws = h.values._draws if drawn else None
+    return ChainMap(g.source, g.target, _LazyImages(g.source, g.target, build, g, draws))
 
 
 def is_degree_preserving(g: ChainMap, mode: GradingMode) -> bool:
     """Whether every generator image is homogeneous of the expected degree.
 
     FULL compares graded degrees on the nose; PARITY only mod 2.  Both use
-    the grading convention of the map's characteristic.
+    the grading convention of the map's characteristic.  A perturbation by
+    drawn homotopy values is decided from its draws when every drawn term
+    has the degree of its s_I minus one and the base map preserves degrees:
+    d raises degree by one in source and target alike, so then every
+    summand of every image has the degree of its s_I, and no image is
+    built.  Otherwise the images are read.
     """
     sd = g.source.s_degree
     td = g.source.char.t_degree
     s0 = g.source.char.s_degree(0)
-    for indices, img in g.images.items():
-        expected = sd * len(indices)
-        for jset, poly in img.coeffs.items():
-            base = s0 * len(jset)
-            for mono in poly.terms:
-                degree = base + td * sum(mono)
-                if mode is GradingMode.FULL:
-                    if degree != expected:
-                        return False
-                elif (degree - expected) % 2:
-                    return False
-    return True
+
+    def fits(jset: IndexSet, mono: tuple, expected: int) -> bool:
+        degree = s0 * len(jset) + td * sum(mono)
+        return degree == expected if mode is GradingMode.FULL else (degree - expected) % 2 == 0
+
+    images = g.images
+    if (
+        isinstance(images, _LazyImages)
+        and images.draws is not None
+        and all(
+            fits(jset, mono, sd * len(indices) - 1)
+            for indices, terms in images.draws.items()
+            for jset, mono, _ in terms
+        )
+        and is_degree_preserving(images.base, mode)
+    ):
+        return True
+    return all(
+        fits(jset, mono, sd * len(indices))
+        for indices, img in images.items()
+        for jset, poly in img.coeffs.items()
+        for mono in poly.terms
+    )
 
 
 def matrix_of_images(target: ComplexDescriptor, columns: Sequence[KElem]) -> list[list[Poly]]:
@@ -350,32 +375,140 @@ def matrix_of_images(target: ComplexDescriptor, columns: Sequence[KElem]) -> lis
     return matrix
 
 
-def _column_rank(target: ComplexDescriptor, columns: Sequence[KElem], method: RankMethod, rng) -> int:
-    """Rank of the image columns: the one place a chain-map rank is decided.
+def _image_matrix(g: ChainMap, generators: Sequence[KElem] | None) -> list[list[Poly]]:
+    """The polynomial matrix whose columns are the images of the generators
+    (of every s_I when None)."""
+    if generators is None:
+        columns = [g.images[indices] for indices in g.source.index_sets()]
+    else:
+        columns = [g.apply(gen) for gen in generators]
+    return matrix_of_images(g.target, columns)
+
+
+def _drawn_rows(g: ChainMap, generators: Sequence[KElem] | None):
+    """``rows_at(field, point)`` for :func:`linalg.rank_at_points`, or None
+    unless ``g`` is a perturbation by drawn homotopy values.
+
+    The rows are those of :func:`_image_matrix` at the point, in the
+    target's index-set order, computed from the draws without building any
+    image: the column of s_I is base_I(p) + D(p) h_I(p) + the sum over the
+    faces of I of +-p_i^(m+1) h_(I without i)(p), both differentials read
+    from ``ComplexDescriptor.boundary``.  A generator x gives
+    sum_I x_I(p) col_I(p), so only the columns it touches are evaluated.
+    Drawn values have coefficients +-1; only a base map or generator with
+    fractional coefficients can raise UnluckyPrimeError, and then not
+    necessarily at the primes where its polynomial images would.
+    """
+    images = g.images
+    if not isinstance(images, _LazyImages) or images.draws is None:
+        return None
+    base, draws, source, target = images.base, images.draws, g.source, g.target
+    if generators is None:
+        needed = list(source.index_sets())
+    else:
+        needed = list(dict.fromkeys(indices for gen in generators for indices in gen.coeffs))
+    faces = {indices: source.boundary(indices) for indices in needed}
+    homotopy = set(needed).union(face for terms in faces.values() for face, _ in terms)
+    polys = [poly for indices in needed for poly in base.images[indices].coeffs.values()]
+    polys += [poly for gen in generators or () for poly in gen.coeffs.values()]
+    monos = [mono for poly in polys for mono in poly.terms]
+    monos += [mono for indices in homotopy for _, mono, _ in draws.get(indices, ())]
+    # the source differential reads t_i^(m+1), the target's reads t_i
+    max_exp = [max(exps) for exps in zip((source.level + 1,) * source.nvars, *monos)]
+    row_of = {jset: r for r, jset in enumerate(target.index_sets())}
+
+    def rows_at(field, point):
+        pows = power_tables(point, max_exp, field.mul)
+        mul, add, neg = field.mul, field.add, field.neg
+
+        def value(poly: Poly) -> int:
+            return field.evaluate(poly, pows)
+
+        def add_scaled_into(acc: dict, f: int, vec: dict) -> None:
+            for key, v in vec.items():
+                acc[key] = add(acc.get(key, 0), mul(f, v))
+
+        h: dict[IndexSet, dict] = {}  # homotopy values at the point
+        for indices in homotopy:
+            vec = h[indices] = {}
+            for jset, mono, sign in draws.get(indices, ()):
+                v = 1
+                for i, e in enumerate(mono):
+                    if e:
+                        v = mul(v, pows[i][e])
+                vec[jset] = add(vec.get(jset, 0), v if sign > 0 else neg(v))
+        d: dict[IndexSet, dict] = {}  # target differentials of basis elements at the point
+        columns: dict[IndexSet, dict] = {}
+
+        def column(indices: IndexSet) -> dict:
+            col = columns.get(indices)
+            if col is None:
+                col = columns[indices] = {
+                    jset: value(poly) for jset, poly in base.images[indices].coeffs.items()
+                }
+                for jset, v in h[indices].items():
+                    dj = d.get(jset)
+                    if dj is None:
+                        dj = d[jset] = {face: value(coeff) for face, coeff in target.boundary(jset)}
+                    add_scaled_into(col, v, dj)
+                for face, coeff in faces[indices]:
+                    add_scaled_into(col, value(coeff), h[face])
+            return col
+
+        def combination(gen: KElem) -> dict:
+            col: dict = {}
+            for indices, coeff in gen.coeffs.items():
+                f = value(coeff)
+                if f:
+                    add_scaled_into(col, f, column(indices))
+            return col
+
+        cols = map(column, needed) if generators is None else map(combination, generators)
+        rows: list[dict] = [{} for _ in row_of]
+        for j, col in enumerate(cols):
+            for jset, v in col.items():
+                if v:
+                    rows[row_of[jset]][j] = v
+        return rows
+
+    return rows_at
+
+
+def _column_rank(g: ChainMap, generators: Sequence[KElem] | None, method: RankMethod, rng) -> int:
+    """Rank of the images of the generators (of every s_I when None): the one
+    place a chain-map rank is decided.
 
     The modular method evaluates in fields of ``prime_bits()`` bits, drawing
     from ``rng`` (a fixed-seed generator when None).  The exact method
-    evaluates first, at evaluation_rank's default size and from its own
-    fixed-seed generator, so neither ``rng`` nor KOSZUL_PRIME_BITS matters:
-    a full evaluation rank is the exact rank (a minor nonzero at a point is
-    a nonzero minor), and only a deficient one runs fraction-free
-    elimination.
+    evaluates first, at the default field size and from its own fixed-seed
+    generator, so neither ``rng`` nor KOSZUL_PRIME_BITS matters: a full
+    evaluation rank is the exact rank (a minor nonzero at a point is a
+    nonzero minor), and only a deficient one builds the polynomial matrix
+    for fraction-free elimination.  Perturbations by drawn homotopy values
+    are evaluated from their draws (see :func:`_drawn_rows`), other maps
+    from their polynomial images by ``evaluation_rank``; both give the same
+    values at the same points, so the same draws and the same rank.
     """
-    matrix = matrix_of_images(target, columns)
+    char, nvars = g.target.char, g.target.nvars
+    upper = min(1 << nvars, 1 << g.source.nvars if generators is None else len(generators))
+    rows_at = _drawn_rows(g, generators)
+    matrix = _image_matrix(g, generators) if rows_at is None else None
     if method is RankMethod.EXACT:
-        full = min(len(matrix), len(columns))
-        if evaluation_rank(matrix, target.char, random.Random(0x5EED)) == full:
-            return full
-        return bareiss_rank(matrix)
-    if rng is None:
-        rng = random.Random(0x5EED)
-    return evaluation_rank(matrix, target.char, rng, bits=prime_bits())
+        rng, size = random.Random(0x5EED), {}  # the default field size
+    else:
+        rng, size = random.Random(0x5EED) if rng is None else rng, {"bits": prime_bits()}
+    if matrix is None:
+        evaluated = rank_at_points(rows_at, nvars, char, rng, upper, **size)
+    else:
+        evaluated = evaluation_rank(matrix, char, rng, **size)
+    if method is RankMethod.MODULAR or evaluated == upper:
+        return evaluated
+    return bareiss_rank(_image_matrix(g, generators) if matrix is None else matrix)
 
 
 def rank(g: ChainMap, method: RankMethod = RankMethod.MODULAR, rng=None) -> int:
     """Rank of the map over the fraction field of the polynomial ring."""
-    columns = [g.images[indices] for indices in g.source.index_sets()]
-    return _column_rank(g.target, columns, method, rng)
+    return _column_rank(g, None, method, rng)
 
 
 def restricted_rank(
@@ -389,8 +522,9 @@ def restricted_rank(
     Equals len(generators) exactly when the localized map is injective on
     their span (provided the generators themselves are independent).
     """
-    columns = [g.apply(gen) for gen in generators]
-    return _column_rank(g.target, columns, method, rng)
+    if any(gen.desc != g.source for gen in generators):
+        raise ValueError("element does not live in the source complex")
+    return _column_rank(g, generators, method, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -278,7 +279,10 @@ def cmd_cancellation(cfg: RunConfig) -> tuple[int, list[dict]]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="koszulrank",
         description="Exact Koszul-complex checks, rank certificates and cancellation analysis.",

@@ -10,19 +10,22 @@ Three layers live here:
   reduced by XOR are internal to ``_reduce``;
 * fraction-free (Bareiss) elimination over the polynomial ring itself, the
   authoritative rank/determinant/kernel routines over the fraction field;
-* randomized evaluation ranks: matrices of polynomials are evaluated at
-  random points of a large prime field (characteristic 0) or of GF(2^k)
+* randomized evaluation ranks: one loop, ``rank_at_points``, draws random
+  points of a large prime field (characteristic 0) or of GF(2^k)
   (characteristic 2; log tables up to GF(2^16), quadratic towers above) and
-  ranked there.  The characteristic only picks the field; each field draws
-  its point and evaluates the nonzero entries into sparse rows, which are
-  reduced sparsest first.  An evaluation rank never
-  exceeds the true rank, so a full evaluation rank certifies the exact answer.
+  ranks a matrix's values there, as sparse rows that the caller's
+  ``rows_at`` computes at each point.  ``evaluation_rank`` supplies them
+  for matrices of polynomials; ``chain_maps`` computes the values of
+  random maps from their homotopy draws.  The characteristic only picks
+  the field.  An evaluation rank never exceeds the true rank, so a full
+  evaluation rank certifies the exact answer.
 """
 
 from __future__ import annotations
 
 import operator
 from array import array
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
@@ -40,6 +43,7 @@ __all__ = [
     "bareiss_det",
     "kernel_vector",
     "evaluation_rank",
+    "rank_at_points",
 ]
 
 
@@ -80,6 +84,12 @@ class PrimeField:
 
     def __init__(self, prime: int):
         self.prime = prime
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.prime
+
+    def neg(self, a: int) -> int:
+        return -a % self.prime
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.prime
@@ -221,6 +231,14 @@ class _Char2Field:
 
     def random_nonzero(self, rng) -> int:
         return rng.randrange(1, self.order)
+
+    @staticmethod
+    def add(a: int, b: int) -> int:
+        return a ^ b
+
+    @staticmethod
+    def neg(a: int) -> int:
+        return a
 
     def pow(self, a: int, e: int) -> int:
         result = 1
@@ -568,53 +586,76 @@ def kernel_vector(matrix: list[list[Poly]]):
 # ---------------------------------------------------------------------------
 
 
-def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, bits: int = 31) -> int:
-    """Probabilistic rank of a polynomial matrix over the fraction field.
+def rank_at_points(rows_at, nvars: int, char: Char, rng, upper: int, trials: int = 5, bits: int = 31) -> int:
+    """Probabilistic rank over the fraction field of a matrix given by its values at points.
 
-    Every variable is evaluated at an independent uniform nonzero element of
-    a field of size >= 2^(bits-1): a fresh random prime field in
-    characteristic 0, ``gf2_field(bits)`` in characteristic 2 (evaluation
-    must stay in the same characteristic for minors to keep vanishing; see
-    ``gf2_field`` for which field a bit size picks).  The maximum rank
-    over the given number of independent trials is returned; it is a certain
-    lower bound for the true rank and equals it with overwhelming probability.
+    The one evaluation loop.  Each trial draws its field (a fresh random
+    prime of ``bits`` bits in characteristic 0, ``gf2_field(bits)`` in
+    characteristic 2; evaluation must stay in the same characteristic for
+    minors to keep vanishing), then one uniform nonzero element per
+    variable, and ranks ``rows_at(field, point)``: the matrix's rows at that
+    point, as dicts from int column position to nonzero value.  A
+    ``rows_at`` that raises UnluckyPrimeError (a coefficient denominator vanished)
+    makes the trial draw a new prime and point.  ``upper`` is
+    min(rows, columns); a matrix without rows or columns has rank 0 and
+    draws nothing.  The maximum rank over the given number of trials is
+    returned, stopping at the first full one; it is a certain lower bound
+    for the true rank and equals it with overwhelming probability.
 
-    Only nonzero entries are evaluated, and rows are reduced in increasing
-    order of their nonzero count, which keeps fill-in low on sparse matrices.
-    The columns are usually images of a random map, which are computed when
-    first read (see ``chain_maps.random_homotopy`` and ``iota``), so
-    building a bound matrix is what computes all 2^n images of the map.
-
-    Cost, in-process on 2 shared cores with CPython 3.11: a fully graded
-    n=8 bound matrix (256 x 256, about 3k nonzero entries) reduces in about
-    0.03 s over a 31-bit prime, 0.05 s over GF(2^16), 0.13 s over GF(2^32)
-    and 0.9 s over GF(2^64); a whole ``certify --n 8 --grading full`` trial
-    takes about 0.09 s in characteristic 0 and 0.23 s in characteristic 2.
+    Rows are reduced in increasing order of their nonzero count, and column
+    positions are relabelled by increasing nonzero count, so each row leads
+    with its sparsest column (a static Markowitz order); rank depends on
+    neither order.
     """
-    if not matrix or not matrix[0]:
+    if not upper:
         return 0
-    nvars = matrix[0][0].nvars
-    entries = sorted(
-        ([(j, e) for j, e in enumerate(row) if e.terms] for row in matrix),
-        key=len,
-    )
-    monos = [mono for row in entries for _, e in row for mono in e.terms]
-    max_exp = [max(exps) for exps in zip(*monos)] or [0] * nvars
     best = 0
-    upper = min(len(matrix), len(matrix[0]))
     for _ in range(trials):
         while True:
             field = PrimeField(random_prime(bits, rng)) if char is Char.ZERO else gf2_field(bits)
             point = [field.random_nonzero(rng) for _ in range(nvars)]
-            pows = power_tables(point, max_exp, field.mul)
             try:
-                rows = [{j: v for j, e in row if (v := field.evaluate(e, pows))} for row in entries]
+                rows = rows_at(field, point)
             except UnluckyPrimeError:
                 continue  # a coefficient denominator vanished: draw a new prime
             break
-        rank = len(_reduce(rows, field, upper))
+        rank = len(_reduce(_sparsest_first(rows), field, upper))
         if rank > best:
             best = rank
         if best == upper:
             break
     return best
+
+
+def _sparsest_first(rows: list[dict]) -> list[dict]:
+    """The nonzero rows by increasing nonzero count, their column positions
+    relabelled 0, 1, ... by increasing nonzero count (ties by position)."""
+    counts = Counter(c for row in rows for c in row)
+    label = {c: k for k, c in enumerate(sorted(counts, key=lambda c: (counts[c], c)))}
+    return sorted(({label[c]: v for c, v in row.items()} for row in rows if row), key=len)
+
+
+def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, bits: int = 31) -> int:
+    """Probabilistic rank of a polynomial matrix over the fraction field.
+
+    :func:`rank_at_points` with the matrix's nonzero entries evaluated at
+    each point; the draws, the fields and the meaning of the answer are
+    that loop's.
+
+    Cost, in-process on 2 shared cores with CPython 3.11: a fully graded
+    n=8 bound matrix (256 x 256, about 3k nonzero entries) reduces in about
+    0.03 s over a 31-bit prime, 0.05 s over GF(2^16), 0.13 s over GF(2^32)
+    and 0.9 s over GF(2^64).
+    """
+    if not matrix or not matrix[0]:
+        return 0
+    nvars = matrix[0][0].nvars
+    entries = [[(j, e) for j, e in enumerate(row) if e.terms] for row in matrix]
+    monos = [mono for row in entries for _, e in row for mono in e.terms]
+    max_exp = [max(exps) for exps in zip(*monos)] or [0] * nvars
+
+    def rows_at(field, point):
+        pows = power_tables(point, max_exp, field.mul)
+        return [{j: v for j, e in row if (v := field.evaluate(e, pows))} for row in entries]
+
+    return rank_at_points(rows_at, nvars, char, rng, min(len(matrix), len(matrix[0])), trials, bits)

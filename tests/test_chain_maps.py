@@ -5,7 +5,13 @@ import random
 import pytest
 
 from koszulrank import chain_maps
-from koszulrank.certificates import bound_report
+from koszulrank.certificates import (
+    CertificateFamily,
+    bound_report,
+    certificate_generators,
+    check_injectivity,
+    grading_label,
+)
 from koszulrank.chain_maps import (
     ChainMap,
     GradingMode,
@@ -24,8 +30,8 @@ from koszulrank.chain_maps import (
     verify_chain_map,
 )
 from koszulrank.koszul import ComplexDescriptor, KElem, random_kelem
-from koszulrank.linalg import bareiss_rank
-from koszulrank.polynomials import Char, Poly
+from koszulrank.linalg import PrimeField, bareiss_rank, evaluation_rank, gf2_field, random_prime
+from koszulrank.polynomials import Char, Poly, power_tables
 
 
 def test_iota_images_and_unitality():
@@ -373,3 +379,128 @@ def test_perturb_rejects_homotopy_in_wrong_complex():
     wrong = ComplexDescriptor(2, 1, Char.ZERO)
     with pytest.raises(ValueError):
         homotopy_perturb(g, Homotopy({(1,): wrong.one()}))
+
+
+# ---------------------------------------------------------------------------
+# ranks and gradings read from the homotopy draws
+# ---------------------------------------------------------------------------
+
+
+_GRADINGS = [GradingMode.FULL, GradingMode.PARITY, None]
+
+
+def _point_fields(char, rng):
+    """F_p at 31 bits and at 2 and 3 bits; GF(2^2), GF(2^16) and GF(2^32)."""
+    if char is Char.ZERO:
+        return [PrimeField(random_prime(bits, rng)) for bits in (31, 2, 3)]
+    return [gf2_field(bits) for bits in (2, 16, 32)]
+
+
+def _point_grid(char, grading, rng):
+    """Drawn maps for m = 0..2 and n = 1..5, each with a few source elements."""
+    for m in range(3):
+        for n in range(1, 6):
+            g = random_chain_map(n, m, char, rng, grading=grading)
+            generators = [random_kelem(g.source, rng) for _ in range(3)] + [g.source.generator((n,))]
+            yield g, generators
+
+
+def _dense_at(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+@pytest.mark.parametrize("char", list(Char))
+@pytest.mark.parametrize("grading", _GRADINGS, ids=["full", "parity", "none"])
+def test_columns_from_draws_equal_the_evaluated_images(char, grading):
+    rng = random.Random(53)
+    for g, generators in _point_grid(char, grading, rng):
+        for field in _point_fields(char, rng):
+            point = [field.random_nonzero(rng) for _ in range(g.source.nvars)]
+            for gens in (None, generators):
+                rows = chain_maps._drawn_rows(g, gens)(field, point)
+                assert not g.images._cache  # no polynomial image was built
+                matrix = chain_maps._image_matrix(g, gens)
+                monos = [mono for row in matrix for e in row for mono in e.terms]
+                max_exp = [max(exps) for exps in zip(*monos)] or [0] * g.source.nvars
+                pows = power_tables(point, max_exp, field.mul)
+                expected = [[field.evaluate(e, pows) for e in row] for row in matrix]
+                assert _dense_at(rows, len(matrix[0])) == expected, (g.source, field)
+                g.images._cache.clear()
+
+
+@pytest.mark.parametrize("char", list(Char))
+@pytest.mark.parametrize("bits", ["31", "3", "2"])
+def test_ranks_from_draws_draw_like_the_polynomial_matrix(char, bits, monkeypatch):
+    # tiny fields make deficient trials, so several draws are compared
+    monkeypatch.setenv("KOSZUL_PRIME_BITS", bits)
+    rng = random.Random(59)
+    for grading in (GradingMode.FULL, GradingMode.PARITY, None):
+        for g, generators in _point_grid(char, grading, rng):
+            clone = random.Random()
+            clone.setstate(rng.getstate())
+            assert rank(g, rng=rng) == evaluation_rank(
+                chain_maps._image_matrix(g, None), char, clone, bits=int(bits))
+            assert rng.getstate() == clone.getstate()
+            assert restricted_rank(g, generators, rng=rng) == evaluation_rank(
+                matrix_of_images(g.target, [g.apply(x) for x in generators]), char, clone, bits=int(bits))
+            assert rng.getstate() == clone.getstate()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: iota(3, 1, Char.ZERO), lambda: random_chain_map(3, 1, Char.ZERO, random.Random(4))],
+    ids=["iota", "random"],
+)
+def test_restricted_rank_rejects_elements_of_another_complex(make):
+    g = make()
+    with pytest.raises(ValueError, match="source complex"):
+        restricted_rank(g, [g.source.one(), g.target.generator((1,))])
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_deficient_exact_rank_of_a_drawn_map_falls_back_to_bareiss(char, monkeypatch):
+    calls = []
+    bareiss = chain_maps.bareiss_rank
+    def counting(matrix):
+        calls.append(len(matrix))
+        return bareiss(matrix)
+
+    monkeypatch.setattr(chain_maps, "bareiss_rank", counting)
+    base = _degenerate_map(char)
+    g = homotopy_perturb(base, random_homotopy(base.source, random.Random(3), max_terms=0))
+    assert g.images.draws is not None
+    assert rank(g, RankMethod.EXACT) == 1
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("char", list(Char))
+@pytest.mark.parametrize("grading", _GRADINGS, ids=["full", "parity", "none"])
+def test_grading_from_draws_equals_grading_from_images(char, grading):
+    rng = random.Random(67)
+    for g, _ in _point_grid(char, grading, rng):
+        label = grading_label(g)
+        plain = ChainMap(g.source, g.target, dict(g.images))
+        assert label == grading_label(plain)
+        if grading is not None:
+            assert is_degree_preserving(g, grading)
+
+
+def test_grading_from_draws_reads_the_base_map():
+    base = iota(3, 1, Char.ZERO)
+    h = Homotopy({(1,): KElem(base.target, {(): Poly.parse("t1^3 + 1", 3, Char.ZERO)})})
+    drawn = random_homotopy(base.source, random.Random(71), GradingMode.FULL)
+    g = homotopy_perturb(homotopy_perturb(base, h), drawn)
+    assert g.images.draws is not None
+    assert not is_degree_preserving(g, GradingMode.FULL)
+    assert grading_label(g) == grading_label(ChainMap(g.source, g.target, dict(g.images))) == "parity"
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_bound_report_of_a_graded_drawn_map_builds_no_image(char):
+    rng = random.Random(61)
+    g = random_chain_map(6, 1, char, rng, grading=GradingMode.FULL)
+    for family in (CertificateFamily.TRIPLE_DIFFS, CertificateFamily.MIXED_BASE):
+        assert check_injectivity(g, certificate_generators(family, 6, 1, char), rng).injective
+    report = bound_report(g, rng=rng)
+    assert (report.grading, report.rank) == ("full", 64)
+    assert not g.images._cache

@@ -54,6 +54,36 @@ def test_usage_errors():
     assert info.value.code == EXIT_USAGE
 
 
+def _main_output(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process ``main`` call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_good_and_bad_calls_in_sequence(capsys):
+    argvs = [
+        ["certify", "--n", "3", "--trials", "2", "--seed", "5"],
+        ["certify", "--n", "3", "--char", "5"],  # rejected by the parser
+        ["verify-complex", "--n", "0"],  # rejected after parsing
+        ["cancellation", "--n", "4", "--trials", "2", "--seed", "5"],
+        ["certify", "--n", "3", "--trials", "2", "--seed", "5"],
+    ]
+    cli._build_parser.cache_clear()
+    in_sequence = [_main_output(argv, capsys) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1  # built once, then reused
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append(_main_output(argv, capsys))
+    assert in_sequence == alone
+    assert [code for code, _, _ in in_sequence] == [EXIT_OK, EXIT_USAGE, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert in_sequence[1][2] and not in_sequence[1][1]  # the usage error goes to stderr
+
+
 def test_certify_run(tmp_path):
     code, lines = _run(tmp_path, "certify", "--n", "3", "--m", "1", "--char", "0",
                        "--grading", "full", "--trials", "5", "--seed", "3")

@@ -69,6 +69,10 @@ def test_bench_records_micro_timings(tmp_path, monkeypatch):
     for entry in lift["chars"].values():
         assert set(entry) == {"alpha_s", "alpha_fallback_s", "exact_rank_s", "bareiss_s"}
         assert all(seconds > 0 for seconds in entry.values())
+    certify = record["micro"]["certify"]
+    assert (certify["m"], certify["grading"], certify["seed"], certify["trials"]) == (1, "full", 7, 1)
+    assert {char: sorted(entry) for char, entry in certify["chars"].items()} == {"0": ["8", "9"], "2": ["8", "9"]}
+    assert all(seconds > 0 for entry in certify["chars"].values() for seconds in entry.values())
 
 
 def _run(argv):
