@@ -6,10 +6,11 @@ map.  Injectivity of the localized map on such a family gives a lower bound
 on its rank equal to the family size; the mixed full family has exactly
 2(n + floor(n/3)) members, which is the improved bound this package checks.
 
-Checks run the fast evaluation rank first: a full answer certifies
-injectivity outright.  A deficient answer triggers the authoritative
-fraction-free elimination, and genuine failures come back with an exact
-kernel combination as a witness.
+Checks are one call into ``chain_maps._column_rank``, the rank decision
+every chain-map rank shares: a full evaluation rank certifies injectivity
+outright, and a deficient one triggers the authoritative fraction-free
+elimination, whose one echelon gives the exact rank and, on genuine
+failure, an exact kernel combination as a witness.
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ from .chain_maps import (
     ChainMap,
     GradingMode,
     RankMethod,
+    _column_rank,
     is_degree_preserving,
-    matrix_of_images,
     random_chain_map,
     rank as chain_map_rank,
-    restricted_rank,
 )
 from .koszul import ComplexDescriptor, KElem, disjoint_blocks
-from .linalg import bareiss_rank, kernel_vector
-from .linalg import evaluation_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
+from .linalg import bareiss_rank, evaluation_rank, kernel_vector  # noqa: F401  perfbench/tracing.py patches these
 from .polynomials import Char, Poly
 
 __all__ = [
@@ -147,20 +146,15 @@ def check_injectivity(g: ChainMap, sub: Submodule, rng=None) -> InjectivityRepor
     """Whether the localized map is injective on the span of the generators.
 
     Assumes the generators themselves are independent (true by construction
-    for every family produced here).  A full evaluation rank certifies
-    injectivity; otherwise fraction-free elimination decides, and on genuine
-    failure the witness is an exact kernel combination of the generators.
+    for every family produced here).  The modular evaluation draws from
+    ``rng`` at ``prime_bits()`` bits; a full rank certifies injectivity.
+    Otherwise one fraction-free elimination decides (an unlucky evaluation
+    then reports the full rank), and on genuine failure the witness is an
+    exact kernel combination of the generators.
     """
     expected = len(sub.generators)
-    observed = restricted_rank(g, sub.generators, rng=rng)
-    if observed == expected:
-        return InjectivityReport(True, observed, expected)
-    matrix = matrix_of_images(g.target, [g.apply(gen) for gen in sub.generators])
-    witness = kernel_vector(matrix)
-    if witness is None:
-        # the evaluation trials were all unlucky; elimination has the last word
-        return InjectivityReport(True, expected, expected)
-    return InjectivityReport(False, bareiss_rank(matrix), expected, witness)
+    rank, witness = _column_rank(g, sub.generators, RankMethod.MODULAR, rng, witness=True)
+    return InjectivityReport(rank == expected, rank, expected, witness)
 
 
 def improved_bound(n: int) -> int:

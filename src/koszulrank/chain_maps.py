@@ -11,8 +11,10 @@ Ranks are taken over the fraction field of the polynomial ring, either
 exactly (a full evaluation rank, else fraction-free elimination) or by
 randomized evaluation in a large field of the same characteristic (fast; a
 full answer is certain, a deficient answer is wrong with negligible
-probability).  Random maps are evaluated from their homotopy draws, so
-neither a rank nor a full grading check builds their images.
+probability).  One function, ``_column_rank``, decides every rank and every
+certificate check from the map's columns at random points; random maps are
+evaluated from their homotopy draws, so neither a rank nor a full grading
+check builds their images.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from enum import Enum
 from collections.abc import Mapping, Sequence
 
 from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, random_monomial
-from .linalg import bareiss_rank, evaluation_rank, rank_at_points
+from .linalg import _rank_and_kernel, bareiss_rank, rank_at_points
+from .linalg import evaluation_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
 from .polynomials import Char, Poly, add_into, add_scaled, power_tables
 
 __all__ = [
@@ -385,34 +388,35 @@ def _image_matrix(g: ChainMap, generators: Sequence[KElem] | None) -> list[list[
     return matrix_of_images(g.target, columns)
 
 
-def _drawn_rows(g: ChainMap, generators: Sequence[KElem] | None):
-    """``rows_at(field, point)`` for :func:`linalg.rank_at_points`, or None
-    unless ``g`` is a perturbation by drawn homotopy values.
+def _point_rows(g: ChainMap, generators: Sequence[KElem] | None):
+    """``rows_at(field, point)`` for :func:`linalg.rank_at_points`: the rows
+    of :func:`_image_matrix` at the point, in the target's index-set order,
+    computed without building any perturbed image.
 
-    The rows are those of :func:`_image_matrix` at the point, in the
-    target's index-set order, computed from the draws without building any
-    image: the column of s_I is base_I(p) + D(p) h_I(p) + the sum over the
-    faces of I of +-p_i^(m+1) h_(I without i)(p), both differentials read
-    from ``ComplexDescriptor.boundary``.  A generator x gives
-    sum_I x_I(p) col_I(p), so only the columns it touches are evaluated.
-    Drawn values have coefficients +-1; only a base map or generator with
-    fractional coefficients can raise UnluckyPrimeError, and then not
-    necessarily at the primes where its polynomial images would.
+    A perturbation by drawn homotopy values is read from its base map and
+    its draws: the column of s_I is base_I(p) + D(p) h_I(p) + the sum over
+    the faces of I of +-p_i^(m+1) h_(I without i)(p), both differentials
+    read from ``ComplexDescriptor.boundary``.  Any other map is its own base
+    with no draws, so its columns are the values of its images.  A
+    generator x gives sum_I x_I(p) col_I(p), so only the columns it touches
+    are evaluated.  Drawn values have coefficients +-1; only a base map or
+    generator with fractional coefficients can raise UnluckyPrimeError, and
+    then, for generators, not necessarily at the primes where the
+    polynomial images g(x) would.
     """
-    images = g.images
-    if not isinstance(images, _LazyImages) or images.draws is None:
-        return None
-    base, draws, source, target = images.base, images.draws, g.source, g.target
+    images, source, target = g.images, g.source, g.target
+    drawn = isinstance(images, _LazyImages) and images.draws is not None
+    base, draws = (images.base, images.draws) if drawn else (g, {})
     if generators is None:
         needed = list(source.index_sets())
     else:
         needed = list(dict.fromkeys(indices for gen in generators for indices in gen.coeffs))
-    faces = {indices: source.boundary(indices) for indices in needed}
-    homotopy = set(needed).union(face for terms in faces.values() for face, _ in terms)
+    faces = {indices: [(f, c) for f, c in source.boundary(indices) if f in draws] for indices in needed}
+    homotopy = set(needed).union(face for terms in faces.values() for face, _ in terms).intersection(draws)
     polys = [poly for indices in needed for poly in base.images[indices].coeffs.values()]
     polys += [poly for gen in generators or () for poly in gen.coeffs.values()]
     monos = [mono for poly in polys for mono in poly.terms]
-    monos += [mono for indices in homotopy for _, mono, _ in draws.get(indices, ())]
+    monos += [mono for indices in homotopy for _, mono, _ in draws[indices]]
     # the source differential reads t_i^(m+1), the target's reads t_i
     max_exp = [max(exps) for exps in zip((source.level + 1,) * source.nvars, *monos)]
     row_of = {jset: r for r, jset in enumerate(target.index_sets())}
@@ -428,10 +432,10 @@ def _drawn_rows(g: ChainMap, generators: Sequence[KElem] | None):
             for key, v in vec.items():
                 acc[key] = add(acc.get(key, 0), mul(f, v))
 
-        h: dict[IndexSet, dict] = {}  # homotopy values at the point
+        h: dict[IndexSet, dict] = {}  # drawn homotopy values at the point
         for indices in homotopy:
             vec = h[indices] = {}
-            for jset, mono, sign in draws.get(indices, ()):
+            for jset, mono, sign in draws[indices]:
                 v = 1
                 for i, e in enumerate(mono):
                     if e:
@@ -446,7 +450,7 @@ def _drawn_rows(g: ChainMap, generators: Sequence[KElem] | None):
                 col = columns[indices] = {
                     jset: value(poly) for jset, poly in base.images[indices].coeffs.items()
                 }
-                for jset, v in h[indices].items():
+                for jset, v in h.get(indices, {}).items():
                     dj = d.get(jset)
                     if dj is None:
                         dj = d[jset] = {face: value(coeff) for face, coeff in target.boundary(jset)}
@@ -474,41 +478,41 @@ def _drawn_rows(g: ChainMap, generators: Sequence[KElem] | None):
     return rows_at
 
 
-def _column_rank(g: ChainMap, generators: Sequence[KElem] | None, method: RankMethod, rng) -> int:
-    """Rank of the images of the generators (of every s_I when None): the one
-    place a chain-map rank is decided.
+def _column_rank(
+    g: ChainMap, generators: Sequence[KElem] | None, method: RankMethod, rng, witness: bool = False
+) -> tuple[int, list[Poly] | None]:
+    """Rank of the images of the generators (of every s_I when None), and a
+    kernel witness when asked for: the one place a chain-map rank is decided.
 
+    The rank is first evaluated at random points (see :func:`_point_rows`).
     The modular method evaluates in fields of ``prime_bits()`` bits, drawing
     from ``rng`` (a fixed-seed generator when None).  The exact method
-    evaluates first, at the default field size and from its own fixed-seed
-    generator, so neither ``rng`` nor KOSZUL_PRIME_BITS matters: a full
-    evaluation rank is the exact rank (a minor nonzero at a point is a
-    nonzero minor), and only a deficient one builds the polynomial matrix
-    for fraction-free elimination.  Perturbations by drawn homotopy values
-    are evaluated from their draws (see :func:`_drawn_rows`), other maps
-    from their polynomial images by ``evaluation_rank``; both give the same
-    values at the same points, so the same draws and the same rank.
+    evaluates at the default field size from its own fixed-seed generator,
+    so neither ``rng`` nor KOSZUL_PRIME_BITS matters.  A full evaluation
+    rank is the exact rank (a minor nonzero at a point is a nonzero minor).
+    A deficient one proves nothing: under the exact method, or when a
+    witness is asked for (then any rank below the column count is owed one),
+    the image matrix is built and one fraction-free elimination decides.
+    Its echelon gives the witness: a kernel vector, None when injective.
     """
-    char, nvars = g.target.char, g.target.nvars
-    upper = min(1 << nvars, 1 << g.source.nvars if generators is None else len(generators))
-    rows_at = _drawn_rows(g, generators)
-    matrix = _image_matrix(g, generators) if rows_at is None else None
+    if generators is not None and any(gen.desc != g.source for gen in generators):
+        raise ValueError("element does not live in the source complex")
+    cols = 1 << g.source.nvars if generators is None else len(generators)
+    upper = min(1 << g.target.nvars, cols)
     if method is RankMethod.EXACT:
         rng, size = random.Random(0x5EED), {}  # the default field size
     else:
         rng, size = random.Random(0x5EED) if rng is None else rng, {"bits": prime_bits()}
-    if matrix is None:
-        evaluated = rank_at_points(rows_at, nvars, char, rng, upper, **size)
-    else:
-        evaluated = evaluation_rank(matrix, char, rng, **size)
-    if method is RankMethod.MODULAR or evaluated == upper:
-        return evaluated
-    return bareiss_rank(_image_matrix(g, generators) if matrix is None else matrix)
+    evaluated = rank_at_points(_point_rows(g, generators), g.target.nvars, g.target.char, rng, upper, **size)
+    if evaluated == (cols if witness else upper) or (method is RankMethod.MODULAR and not witness):
+        return evaluated, None
+    matrix = _image_matrix(g, generators)
+    return _rank_and_kernel(matrix) if witness else (bareiss_rank(matrix), None)
 
 
 def rank(g: ChainMap, method: RankMethod = RankMethod.MODULAR, rng=None) -> int:
     """Rank of the map over the fraction field of the polynomial ring."""
-    return _column_rank(g, None, method, rng)
+    return _column_rank(g, None, method, rng)[0]
 
 
 def restricted_rank(
@@ -522,9 +526,7 @@ def restricted_rank(
     Equals len(generators) exactly when the localized map is injective on
     their span (provided the generators themselves are independent).
     """
-    if any(gen.desc != g.source for gen in generators):
-        raise ValueError("element does not live in the source complex")
-    return _column_rank(g, generators, method, rng)
+    return _column_rank(g, generators, method, rng)[0]
 
 
 # ---------------------------------------------------------------------------

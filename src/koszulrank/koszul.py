@@ -13,7 +13,6 @@ values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -78,6 +77,10 @@ class ComplexDescriptor:
             raise ValueError("nvars must be at least 1")
         if self.level < 0:
             raise ValueError("level must be non-negative")
+        # +-t_i^(level+1) for d(s_I), read by index i and sign parity; not a
+        # field, so equality and hashing see only the three fields above
+        powers = [self.t(i, self.level + 1) for i in range(1, self.nvars + 1)]
+        object.__setattr__(self, "_signed_powers", [(p, -p) for p in powers])
 
     @property
     def s_degree(self) -> int:
@@ -107,14 +110,9 @@ class ComplexDescriptor:
         In characteristic 2 every sign is +, since negation is the identity there.
         """
         return [
-            (indices[:j] + indices[j + 1 :], self._signed_power(i, j % 2))
+            (indices[:j] + indices[j + 1 :], self._signed_powers[i - 1][j % 2])
             for j, i in enumerate(indices)
         ]
-
-    @functools.cache
-    def _signed_power(self, index: int, odd: int) -> Poly:
-        power = self.t(index, self.level + 1)
-        return -power if odd else power
 
     def monomial(self, indices: IndexSet) -> Poly:
         """The baseline coefficient prod_{i in I} t_i^level of s_I."""

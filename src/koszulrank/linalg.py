@@ -9,14 +9,15 @@ Three layers live here:
   every field; over F2 only their keys count, and the coordinate sets
   reduced by XOR are internal to ``_reduce``;
 * fraction-free (Bareiss) elimination over the polynomial ring itself, the
-  authoritative rank/determinant/kernel routines over the fraction field;
+  authoritative rank/determinant/kernel routines over the fraction field,
+  all read from one echelon, ``_bareiss_echelon``;
 * randomized evaluation ranks: one loop, ``rank_at_points``, draws random
   points of a large prime field (characteristic 0) or of GF(2^k)
   (characteristic 2; log tables up to GF(2^16), quadratic towers above) and
   ranks a matrix's values there, as sparse rows that the caller's
-  ``rows_at`` computes at each point.  ``evaluation_rank`` supplies them
-  for matrices of polynomials; ``chain_maps`` computes the values of
-  random maps from their homotopy draws.  The characteristic only picks
+  ``rows_at`` computes at each point.  ``chain_maps`` computes the values
+  of every chain map there; ``evaluation_rank`` supplies them for matrices
+  of polynomials.  The characteristic only picks
   the field.  An evaluation rank never exceeds the true rank, so a full
   evaluation rank certifies the exact answer.
 """
@@ -544,7 +545,12 @@ def bareiss_det(matrix: list[list[Poly]]) -> Poly:
 
 
 def kernel_vector(matrix: list[list[Poly]]):
-    """One exact kernel vector of a polynomial matrix, or None if injective.
+    """One exact kernel vector of a polynomial matrix, or None if injective."""
+    return _rank_and_kernel(matrix)[1]
+
+
+def _rank_and_kernel(matrix: list[list[Poly]]):
+    """(exact rank, one kernel vector or None if injective), from one echelon.
 
     The vector has entries in the polynomial ring (Cramer-style determinant
     scaling), indexed like the columns of the input: the smallest non-pivot
@@ -552,11 +558,11 @@ def kernel_vector(matrix: list[list[Poly]]):
     back-substitution over the echelon rows gives the pivot columns.
     """
     if not matrix or not matrix[0]:
-        return None
+        return 0, None
     ncols = len(matrix[0])
     k, _, col_perm, _, last, rows = _bareiss_echelon(matrix)
     if k == ncols:
-        return None
+        return k, None
     sample = matrix[0][0]
     free_pos = col_perm.index(min(col_perm[k:]))
     # x[pos] is the entry of the column at elimination position pos
@@ -578,7 +584,7 @@ def kernel_vector(matrix: list[list[Poly]]):
                 acc = acc + entry * v
         if acc.terms:
             raise AssertionError("kernel extraction produced a non-kernel vector")
-    return vec
+    return k, vec
 
 
 # ---------------------------------------------------------------------------

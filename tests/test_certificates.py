@@ -14,10 +14,19 @@ from koszulrank.certificates import (
     improved_bound,
     search_noninjective_char2,
 )
-from koszulrank.chain_maps import GradingMode, RankMethod, iota, random_chain_map, rank, restricted_rank
+from koszulrank import chain_maps, linalg
+from koszulrank.chain_maps import (
+    GradingMode,
+    RankMethod,
+    iota,
+    matrix_of_images,
+    random_chain_map,
+    rank,
+    restricted_rank,
+)
 from koszulrank.koszul import ComplexDescriptor
-from koszulrank.linalg import random_prime
-from koszulrank.polynomials import Char
+from koszulrank.linalg import bareiss_rank, random_prime
+from koszulrank.polynomials import Char, Poly
 
 
 def test_triple_diffs_layout():
@@ -122,14 +131,48 @@ def test_char2_check_injectivity_draws_one_point(monkeypatch):
     assert rng.getstate() == replay.getstate()
 
 
-def test_zero_generator_produces_unit_witness():
+def test_zero_generator_produces_unit_witness(monkeypatch):
     g = iota(2, 1, Char.ZERO)
     sub = Submodule([g.source.one(), g.source.zero()], ["1", "0"])
+    echelons = []
+    echelon = linalg._bareiss_echelon
+    monkeypatch.setattr(linalg, "_bareiss_echelon", lambda matrix: echelons.append(1) or echelon(matrix))
     report = check_injectivity(g, sub, random.Random(0))
+    assert len(echelons) == 1  # one elimination gives the rank and the witness
     assert not report.injective
-    assert report.rank == 1
+    matrix = matrix_of_images(g.target, [g.apply(x) for x in sub.generators])
+    assert report.rank == 1 == bareiss_rank(matrix)
     assert report.witness is not None
     assert report.witness[0].is_zero() and not report.witness[1].is_zero()
+    for row in matrix:
+        assert sum((entry * v for entry, v in zip(row, report.witness)), Poly.zero(2, Char.ZERO)).is_zero()
+
+
+@pytest.mark.parametrize(("n", "seed", "bits"), [(4, 1, "2"), (3, 4, "3")])
+def test_tiny_field_certificates_report_like_31_bits(monkeypatch, n, seed, bits):
+    # over F_3 (2 bits) or F_5 and F_7 (3 bits) some evaluations stay
+    # deficient; exact elimination must then give the 31-bit report
+    rng = random.Random(seed)
+    maps = [random_chain_map(n, 1, Char.ZERO, rng, grading=GradingMode.FULL) for _ in range(6)]
+    families = (CertificateFamily.MIXED_BASE, CertificateFamily.MIXED_FULL)
+
+    def reports():
+        out = []
+        for k, g in enumerate(maps):
+            check_rng = random.Random(k)
+            for family in families:
+                r = check_injectivity(g, certificate_generators(family, n, 1, Char.ZERO), check_rng)
+                out.append((r.injective, r.rank, r.expected))
+        return out
+
+    monkeypatch.setenv("KOSZUL_PRIME_BITS", "31")
+    expected = reports()
+    fallbacks = []
+    exact = chain_maps._rank_and_kernel
+    monkeypatch.setattr(chain_maps, "_rank_and_kernel", lambda matrix: fallbacks.append(1) or exact(matrix))
+    monkeypatch.setenv("KOSZUL_PRIME_BITS", bits)
+    assert reports() == expected
+    assert fallbacks  # some evaluation was deficient, so the exact fallback decided
 
 
 def test_bound_values():

@@ -29,6 +29,7 @@ from koszulrank.chain_maps import (
     restricted_rank,
     verify_chain_map,
 )
+from koszulrank.hb_model import compose_to_gamma, construct_alpha, koszul_filt_complex, shuffled_complex
 from koszulrank.koszul import ComplexDescriptor, KElem, random_kelem
 from koszulrank.linalg import PrimeField, bareiss_rank, evaluation_rank, gf2_field, random_prime
 from koszulrank.polynomials import Char, Poly, power_tables
@@ -237,7 +238,7 @@ def test_exact_rank_runs_bareiss_only_after_a_deficient_evaluation(monkeypatch):
     assert calls == []  # the evaluation was full
     assert rank(_degenerate_map(), RankMethod.EXACT) == 1
     assert calls == [4]  # a deficient evaluation proves nothing
-    monkeypatch.setattr(chain_maps, "evaluation_rank", lambda matrix, char, rng: 7)
+    monkeypatch.setattr(chain_maps, "rank_at_points", lambda *args, **kwargs: 7)
     assert rank(g, RankMethod.EXACT) == 8
     assert calls == [4, 8]
 
@@ -405,6 +406,24 @@ def _point_grid(char, grading, rng):
             yield g, generators
 
 
+def _plain_maps(char, rng):
+    """Maps that are not drawn perturbations, each with a few source elements:
+    iota, a JSON round trip, a perturbation by a user Homotopy dict, and
+    lift's gamma on a shuffled K_4(0)."""
+    middle, unshuffle = shuffled_complex(koszul_filt_complex(ComplexDescriptor(4, 0, char)), rng)
+    user_values = dict(random_homotopy(ComplexDescriptor(3, 2, char), rng).values)
+    maps = [
+        iota(3, 1, char),
+        ChainMap.from_json(random_chain_map(3, 1, char, rng).to_json()),
+        homotopy_perturb(iota(3, 2, char), Homotopy(user_values)),
+        compose_to_gamma(construct_alpha(middle, 1), unshuffle),
+    ]
+    for g in maps:
+        assert getattr(g.images, "draws", None) is None
+        generators = [random_kelem(g.source, rng) for _ in range(3)] + [g.source.generator((1, 2))]
+        yield g, generators
+
+
 def _dense_at(rows, ncols):
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
@@ -413,19 +432,22 @@ def _dense_at(rows, ncols):
 @pytest.mark.parametrize("grading", _GRADINGS, ids=["full", "parity", "none"])
 def test_columns_from_draws_equal_the_evaluated_images(char, grading):
     rng = random.Random(53)
-    for g, generators in _point_grid(char, grading, rng):
+    plain = list(_plain_maps(char, rng)) if grading is None else []
+    for g, generators in [*_point_grid(char, grading, rng), *plain]:
+        drawn = getattr(g.images, "draws", None) is not None
         for field in _point_fields(char, rng):
             point = [field.random_nonzero(rng) for _ in range(g.source.nvars)]
             for gens in (None, generators):
-                rows = chain_maps._drawn_rows(g, gens)(field, point)
-                assert not g.images._cache  # no polynomial image was built
+                rows = chain_maps._point_rows(g, gens)(field, point)
+                assert not (drawn and g.images._cache)  # no polynomial image was built
                 matrix = chain_maps._image_matrix(g, gens)
                 monos = [mono for row in matrix for e in row for mono in e.terms]
                 max_exp = [max(exps) for exps in zip(*monos)] or [0] * g.source.nvars
                 pows = power_tables(point, max_exp, field.mul)
                 expected = [[field.evaluate(e, pows) for e in row] for row in matrix]
                 assert _dense_at(rows, len(matrix[0])) == expected, (g.source, field)
-                g.images._cache.clear()
+                if drawn:
+                    g.images._cache.clear()
 
 
 @pytest.mark.parametrize("char", list(Char))
@@ -434,16 +456,16 @@ def test_ranks_from_draws_draw_like_the_polynomial_matrix(char, bits, monkeypatc
     # tiny fields make deficient trials, so several draws are compared
     monkeypatch.setenv("KOSZUL_PRIME_BITS", bits)
     rng = random.Random(59)
-    for grading in (GradingMode.FULL, GradingMode.PARITY, None):
-        for g, generators in _point_grid(char, grading, rng):
-            clone = random.Random()
-            clone.setstate(rng.getstate())
-            assert rank(g, rng=rng) == evaluation_rank(
-                chain_maps._image_matrix(g, None), char, clone, bits=int(bits))
-            assert rng.getstate() == clone.getstate()
-            assert restricted_rank(g, generators, rng=rng) == evaluation_rank(
-                matrix_of_images(g.target, [g.apply(x) for x in generators]), char, clone, bits=int(bits))
-            assert rng.getstate() == clone.getstate()
+    cases = [case for grading in _GRADINGS for case in _point_grid(char, grading, rng)]
+    for g, generators in cases + list(_plain_maps(char, rng)):
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        assert rank(g, rng=rng) == evaluation_rank(
+            chain_maps._image_matrix(g, None), char, clone, bits=int(bits))
+        assert rng.getstate() == clone.getstate()
+        assert restricted_rank(g, generators, rng=rng) == evaluation_rank(
+            matrix_of_images(g.target, [g.apply(x) for x in generators]), char, clone, bits=int(bits))
+        assert rng.getstate() == clone.getstate()
 
 
 @pytest.mark.parametrize(

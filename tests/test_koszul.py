@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -57,6 +59,18 @@ def test_boundary_is_the_alternating_sum(char):
             assert desc.monomial(indices) == Poly.monomial(
                 n, char, [level if i + 1 in indices else 0 for i in range(n)]
             )
+
+
+def test_descriptors_are_freed_and_compare_by_their_fields():
+    desc = ComplexDescriptor(5, 3, Char.ZERO)
+    desc.boundary((1, 3, 5))
+    assert desc == ComplexDescriptor(5, 3, Char.ZERO)
+    assert hash(desc) == hash(ComplexDescriptor(5, 3, Char.ZERO))
+    assert repr(desc) == "ComplexDescriptor(nvars=5, level=3, char=<Char.ZERO: 0>)"
+    ref = weakref.ref(desc)
+    del desc
+    gc.collect()
+    assert ref() is None  # no cache keeps a descriptor alive
 
 
 @pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
