@@ -28,7 +28,10 @@ timed as ``exact_rank_s`` (a full evaluation rank decides it), next to
 fraction-free elimination of the same matrix (``bareiss_s``).  ``certify``
 holds in-process seconds per trial of ``certify --m 1 --grading full --seed
 7`` per characteristic at n = 8 and 9: one ``cli.main`` call of ``REPEAT``
-trials, its time divided by ``REPEAT``.
+trials, its time divided by ``REPEAT``.  ``draws`` holds the median seconds
+per ``random_homotopy`` call at the shape of each ``cli`` benchmark cell
+(one batch of ``DRAW_SEEDS`` calls per repetition, from freshly seeded
+generators, divided by the batch size).
 
 Usage:
     python scripts/bench.py --out BENCH.json --runs 3
@@ -48,7 +51,7 @@ from pathlib import Path
 from time import perf_counter
 
 from koszulrank import cli
-from koszulrank.chain_maps import GradingMode, RankMethod, matrix_of_images, random_chain_map, rank
+from koszulrank.chain_maps import GradingMode, RankMethod, matrix_of_images, random_chain_map, random_homotopy, rank
 from koszulrank.hb_model import (
     compose_to_gamma,
     construct_alpha,
@@ -70,6 +73,15 @@ HOMOLOGY_M = 1
 CERTIFY_NS = (8, 9)
 CERTIFY_M = 1
 CERTIFY_SEED = 7
+DRAW_CELLS = {  # (n, m, char, grading) of the cli workload's cells
+    "certify-q": (8, 1, Char.ZERO, GradingMode.FULL),
+    "certify-f2": (6, 1, Char.TWO, GradingMode.FULL),
+    "cancel-q-m1": (9, 1, Char.ZERO, None),
+    "cancel-q-m2": (9, 2, Char.ZERO, None),
+    "cancel-f2-m1": (9, 1, Char.TWO, None),
+    "cancel-f2-m2": (9, 2, Char.TWO, None),
+}
+DRAW_SEEDS = 20
 
 
 def commit_of(checkout: Path) -> dict:
@@ -231,6 +243,21 @@ def certify(repeat: int) -> dict:
     return out
 
 
+def draws(repeat: int) -> dict:
+    """Median seconds per ``random_homotopy`` call at each cli cell's shape."""
+    out = {}
+    for label, (n, m, char, grading) in DRAW_CELLS.items():
+        source = ComplexDescriptor(n, m, char)
+        batches = iter([[random.Random(seed) for seed in range(DRAW_SEEDS)] for _ in range(repeat)])
+
+        def batch(source=source, grading=grading, batches=batches):
+            for rng in next(batches):
+                random_homotopy(source, rng, grading=grading)
+
+        out[label] = _timed(batch, repeat) / DRAW_SEEDS
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
@@ -259,6 +286,7 @@ def main() -> int:
             "lift": {"n": HOMOLOGY_N, "m": HOMOLOGY_M, "chars": lift(REPEAT)},
             "certify": {"m": CERTIFY_M, "grading": "full", "seed": CERTIFY_SEED, "trials": REPEAT,
                         "chars": certify(REPEAT)},
+            "draws": draws(REPEAT),
         },
     }
     if args.runs:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Mapping, Sequence
 
-from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, random_monomial
+from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, _Drawer
 from .linalg import _rank_and_kernel, bareiss_rank, rank_at_points
 from .linalg import evaluation_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
 from .polynomials import Char, Poly, add_into, add_scaled, power_tables
@@ -553,8 +553,18 @@ def pair_has_multiplicative_form(g: ChainMap, i: int, j: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _random_term(rng, desc: ComplexDescriptor, word_degree: int, grading) -> tuple | None:
-    """One (index_set, mono) pair subject to the degree constraint, or None."""
+def _term_tables(desc: ComplexDescriptor, word_degree: int, grading) -> tuple | None:
+    """What one (index_set, mono) term of a correction of ``word_degree`` is drawn from.
+
+    None when no term fits the degree constraint (such a term draws nothing).
+    Otherwise ``(sizes, tdegs)``: the term chooses its index-set size from
+    ``sizes``, then its total t-degree from ``tdegs``.  Under the full grading
+    the size fixes the t-degree, so ``tdegs`` is None and ``sizes`` holds
+    ``(size, tdeg)`` pairs.  The other tables hold one entry per value that
+    ``randint(0, n)`` or ``randrange(cap)`` can draw, already adjusted for
+    parity, so a choice from a table makes the same draw.  The tables depend
+    only on the word length, so :func:`random_homotopy` builds them once.
+    """
     n = desc.nvars
     char = desc.char
     target = word_degree - 1  # the correction lowers degree by one
@@ -562,32 +572,17 @@ def _random_term(rng, desc: ComplexDescriptor, word_degree: int, grading) -> tup
     cap = 2 * (desc.level + 1)
     if grading is GradingMode.FULL:
         if char is Char.TWO:
-            if target < 0:
-                return None
-            size = rng.randint(0, n)
-            tdeg = target  # exterior generators of level 0 have degree 0
+            # exterior generators of level 0 have degree 0
+            pairs = [(size, target) for size in range(n + 1)] if target >= 0 else []
         else:
-            sizes = [k for k in range(n + 1) if k <= target and (target - k) % 2 == 0]
-            if not sizes:
-                return None
-            size = rng.choice(sizes)
-            tdeg = (target - size) // 2
-    elif grading is GradingMode.PARITY:
+            pairs = [(k, (target - k) // 2) for k in range(n + 1) if k <= target and (target - k) % 2 == 0]
+        return (pairs, None) if pairs else None
+    if grading is GradingMode.PARITY:
         if char is Char.TWO:
-            size = rng.randint(0, n)
-            tdeg = rng.randrange(0, cap)
-            if (tdeg - target) % 2:
-                tdeg += 1
-        else:
-            size = rng.randint(0, n)
-            if (size * s0 - target) % 2:
-                size = size + 1 if size < n else size - 1
-            tdeg = rng.randrange(0, cap)
-    else:
-        size = rng.randint(0, n)
-        tdeg = rng.randrange(0, cap)
-    jset = tuple(sorted(rng.sample(range(1, n + 1), size)))
-    return jset, random_monomial(rng, n, tdeg)
+            return range(n + 1), [t + 1 if (t - target) % 2 else t for t in range(cap)]
+        sizes = [k if (k * s0 - target) % 2 == 0 else k + 1 if k < n else k - 1 for k in range(n + 1)]
+        return sizes, range(cap)
+    return range(n + 1), range(cap)
 
 
 class _DrawnValues(Mapping):
@@ -647,21 +642,31 @@ def random_homotopy(
     here, in index-set order; each value is built when first read (see
     :class:`_DrawnValues`).
     """
+    draw = _Drawer(rng)
+    randint, choice, sample, monomial = draw.randint, draw.choice, draw.sample, draw.monomial
+    n = source.nvars
     two = source.char is Char.TWO
-    sd = source.s_degree
+    population = range(1, n + 1)
+    tables = [_term_tables(source, source.s_degree * k, grading) for k in range(n + 1)]
     draws: dict[IndexSet, list[tuple]] = {}
     for indices in source.index_sets():
         if not indices:
             continue
+        count = randint(0, max_terms)
+        table = tables[len(indices)]
+        if table is None or not count:
+            continue
+        sizes, tdegs = table
         terms = []
-        for _ in range(rng.randint(0, max_terms)):
-            term = _random_term(rng, source, sd * len(indices), grading)
-            if term is None:
-                continue
-            jset, mono = term
-            terms.append((jset, mono, 1 if two else rng.choice((1, -1))))
-        if terms:
-            draws[indices] = terms
+        for _ in range(count):
+            if tdegs is None:
+                size, tdeg = choice(sizes)
+            else:
+                size = choice(sizes)
+                tdeg = choice(tdegs)
+            jset = tuple(sorted(sample(population, size)))
+            terms.append((jset, monomial(n, tdeg), 1 if two else choice((1, -1))))
+        draws[indices] = terms
     return Homotopy(_DrawnValues(ComplexDescriptor(source.nvars, 0, source.char), draws))
 
 

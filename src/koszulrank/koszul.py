@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from math import ceil, log
 from typing import Iterator, Mapping
 
 from .linalg import field_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
@@ -296,36 +297,129 @@ class KElem:
         return cls(desc, coeffs)
 
 
+class _Drawer:
+    """The draws of ``random.Random``'s ``randint``, ``randrange``, ``choice`` and
+    ``sample``, made with fewer interpreter calls and consuming ``rng`` identically.
+
+    Every draw is :meth:`below`, a copy of CPython's
+    ``Random._randbelow_with_getrandbits`` (unchanged from 3.10 through 3.13
+    for k > 0): take ``k.bit_length()`` bits from ``rng.getrandbits`` and
+    draw again while the value is k or more.  The loops of :meth:`sample`
+    and :meth:`monomial`, which make most of a homotopy's draws, inline it.
+    ``below(k)`` is ``randrange(k)``, and ``randint(a, b)`` is
+    ``a + below(b - a + 1)``.
+    :meth:`sample` takes CPython's two branches, the pool below its
+    ``setsize`` threshold and the set of selections above it.  So a drawer
+    returns what those ``random.py`` methods return and leaves ``rng`` in the
+    same state.  Fixed-seed output depends on these algorithms, as it did
+    when ``random.py`` made the calls; ``tests/test_draws.py`` compares the
+    two on the running interpreter.  The drawer holds no state of its own,
+    so other draws from ``rng`` may interleave with its draws.
+    """
+
+    __slots__ = ("getrandbits",)
+
+    def __init__(self, rng):
+        self.getrandbits = rng.getrandbits
+
+    def below(self, k: int) -> int:
+        """A uniform integer in 0..k-1; ``ValueError`` for an empty range, as ``randrange``.
+
+        ``getrandbits(0)`` is 0, so without the check k <= 0 would redraw forever.
+        """
+        if k <= 0:
+            raise ValueError(f"empty range for a random draw below {k}")
+        getrandbits = self.getrandbits
+        bits = k.bit_length()
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        return r
+
+    def randint(self, a: int, b: int) -> int:
+        return a + self.below(b - a + 1)
+
+    def choice(self, seq):
+        return seq[self.below(len(seq))]
+
+    def sample(self, population, k: int) -> list:
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError("sample larger than population or is negative")
+        below = self.below
+        setsize = 21  # CPython's threshold between the pool and the set branch
+        if k > 5:
+            setsize += 4 ** ceil(log(k * 3, 4))
+        result = []
+        if n <= setsize:
+            getrandbits = self.getrandbits
+            pool = list(population)
+            for left in range(n, n - k, -1):  # j = below(left)
+                bits = left.bit_length()
+                j = getrandbits(bits)
+                while j >= left:
+                    j = getrandbits(bits)
+                result.append(pool[j])
+                pool[j] = pool[left - 1]
+            return result
+        selected = set()
+        for _ in range(k):
+            j = below(n)
+            while j in selected:
+                j = below(n)
+            selected.add(j)
+            result.append(population[j])
+        return result
+
+    def monomial(self, nvars: int, total: int) -> tuple:
+        """Exponent vector of the given total degree, one variable drawn per unit."""
+        if nvars <= 0 < total:
+            raise ValueError("no variable to draw")
+        getrandbits = self.getrandbits
+        bits = nvars.bit_length()
+        exps = [0] * nvars
+        for _ in range(total):  # j = below(nvars)
+            j = getrandbits(bits)
+            while j >= nvars:
+                j = getrandbits(bits)
+            exps[j] += 1
+        return tuple(exps)
+
+
 def random_kelem(desc: ComplexDescriptor, rng, max_terms: int = 4, max_exp: int = 2) -> KElem:
     """Random sparse element, for property checks and verification sweeps."""
+    if max_terms < 0 or max_exp < 0:
+        raise ValueError("max_terms and max_exp must be non-negative")
+    draw = _Drawer(rng)
+    n = desc.nvars
+    population = range(1, n + 1)
     coeffs: dict[IndexSet, Poly] = {}
-    for _ in range(rng.randint(0, max_terms)):
-        size = rng.randint(0, desc.nvars)
-        indices = tuple(sorted(rng.sample(range(1, desc.nvars + 1), size)))
-        mono = tuple(rng.randint(0, max_exp) for _ in range(desc.nvars))
-        coeff = 1 if desc.char is Char.TWO else rng.choice((1, -1, 2))
-        add_into(coeffs, indices, Poly.monomial(desc.nvars, desc.char, mono, coeff))
+    for _ in range(draw.randint(0, max_terms)):
+        indices = tuple(sorted(draw.sample(population, draw.randint(0, n))))
+        mono = tuple([draw.randint(0, max_exp) for _ in range(n)])
+        coeff = 1 if desc.char is Char.TWO else draw.choice((1, -1, 2))
+        add_into(coeffs, indices, Poly.monomial(n, desc.char, mono, coeff))
     return KElem(desc, coeffs)
 
 
 def random_monomial(rng, nvars: int, total: int) -> tuple:
     """Random exponent vector of the given total degree, one variable drawn per unit."""
-    exps = [0] * nvars
-    for _ in range(total):
-        exps[rng.randrange(nvars)] += 1
-    return tuple(exps)
+    return _Drawer(rng).monomial(nvars, total)
 
 
 def random_homogeneous_kelem(desc: ComplexDescriptor, rng, max_terms: int = 3, max_exp: int = 2) -> KElem:
     """Random element whose terms all share one graded degree (possibly zero)."""
-    size = rng.randint(0, desc.nvars)
-    tdeg = rng.randint(0, max_exp * 2)
+    draw = _Drawer(rng)
+    n = desc.nvars
+    population = range(1, n + 1)
+    size = draw.randint(0, n)
+    tdeg = draw.randint(0, max_exp * 2)
     coeffs: dict[IndexSet, Poly] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        indices = tuple(sorted(rng.sample(range(1, desc.nvars + 1), size)))
-        mono = random_monomial(rng, desc.nvars, tdeg)
-        coeff = 1 if desc.char is Char.TWO else rng.choice((1, -1))
-        add_into(coeffs, indices, Poly.monomial(desc.nvars, desc.char, mono, coeff))
+    for _ in range(draw.randint(1, max_terms)):
+        indices = tuple(sorted(draw.sample(population, size)))
+        mono = draw.monomial(n, tdeg)
+        coeff = 1 if desc.char is Char.TWO else draw.choice((1, -1))
+        add_into(coeffs, indices, Poly.monomial(n, desc.char, mono, coeff))
     return KElem(desc, coeffs)
 
 

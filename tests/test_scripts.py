@@ -73,6 +73,9 @@ def test_bench_records_micro_timings(tmp_path, monkeypatch):
     assert (certify["m"], certify["grading"], certify["seed"], certify["trials"]) == (1, "full", 7, 1)
     assert {char: sorted(entry) for char, entry in certify["chars"].items()} == {"0": ["8", "9"], "2": ["8", "9"]}
     assert all(seconds > 0 for entry in certify["chars"].values() for seconds in entry.values())
+    draws = record["micro"]["draws"]
+    assert set(draws) == {"certify-q", "certify-f2", "cancel-q-m1", "cancel-q-m2", "cancel-f2-m1", "cancel-f2-m2"}
+    assert all(seconds > 0 for seconds in draws.values())
 
 
 def _run(argv):
