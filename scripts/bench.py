@@ -31,7 +31,12 @@ holds in-process seconds per trial of ``certify --m 1 --grading full --seed
 trials, its time divided by ``REPEAT``.  ``draws`` holds the median seconds
 per ``random_homotopy`` call at the shape of each ``cli`` benchmark cell
 (one batch of ``DRAW_SEEDS`` calls per repetition, from freshly seeded
-generators, divided by the batch size).
+generators, divided by the batch size).  ``bound`` holds the median seconds
+per ``chain_maps.rank`` call on fully graded m=1 maps per characteristic at
+n = 8 and 9 (a fresh map from ``MICRO_SEED`` per repetition), with the
+median entry counts, at one 31-bit point per map, of the boundary matrix
+that decides a full rank (``boundary_entries``) and of the full matrix
+(``full_entries``).
 
 Usage:
     python scripts/bench.py --out BENCH.json --runs 3
@@ -50,7 +55,7 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from koszulrank import cli
+from koszulrank import chain_maps, cli
 from koszulrank.chain_maps import GradingMode, RankMethod, matrix_of_images, random_chain_map, random_homotopy, rank
 from koszulrank.hb_model import (
     compose_to_gamma,
@@ -82,6 +87,7 @@ DRAW_CELLS = {  # (n, m, char, grading) of the cli workload's cells
     "cancel-f2-m2": (9, 2, Char.TWO, None),
 }
 DRAW_SEEDS = 20
+BOUND_NS = (8, 9)
 
 
 def commit_of(checkout: Path) -> dict:
@@ -258,6 +264,32 @@ def draws(repeat: int) -> dict:
     return out
 
 
+def bound(repeat: int) -> dict:
+    """Median ``chain_maps.rank`` seconds per characteristic and n, and the
+    median entry counts of the boundary and full matrices at a point."""
+    gf2_field(32)  # built once per process; no rank should pay for it
+    out = {}
+    for char in (Char.ZERO, Char.TWO):
+        out[str(char.value)] = entry = {}
+        for n in BOUND_NS:
+            rng = random.Random(MICRO_SEED)
+            maps = [random_chain_map(n, 1, char, rng, grading=GradingMode.FULL) for _ in range(repeat)]
+            boundary_entries, full_entries = [], []
+            for g in maps:
+                field = PrimeField(random_prime(31, rng)) if char is Char.ZERO else gf2_field(31)
+                point = [field.random_nonzero(rng) for _ in range(n)]
+                rows, boundary = chain_maps._point_evaluation(g, None)(field, point)
+                boundary_entries.append(sum(map(len, boundary())))
+                full_entries.append(sum(map(len, rows())))
+            fresh = iter([random_chain_map(n, 1, char, rng, grading=GradingMode.FULL) for _ in range(repeat)])
+            entry[str(n)] = {
+                "rank_s": _timed(lambda: rank(next(fresh)), repeat),
+                "boundary_entries": statistics.median(boundary_entries),
+                "full_entries": statistics.median(full_entries),
+            }
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", required=True, help="path of the JSON record to write")
@@ -287,6 +319,7 @@ def main() -> int:
             "certify": {"m": CERTIFY_M, "grading": "full", "seed": CERTIFY_SEED, "trials": REPEAT,
                         "chars": certify(REPEAT)},
             "draws": draws(REPEAT),
+            "bound": {"m": 1, "grading": "full", "seed": MICRO_SEED, "chars": bound(REPEAT)},
         },
     }
     if args.runs:

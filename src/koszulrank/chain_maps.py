@@ -19,15 +19,17 @@ check builds their images.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Mapping, Sequence
+from itertools import combinations
 
 from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, _Drawer
-from .linalg import _rank_and_kernel, bareiss_rank, rank_at_points
+from .linalg import _rank_and_kernel, bareiss_rank, point_rank, rank_at_points
 from .linalg import evaluation_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
 from .polynomials import Char, Poly, add_into, add_scaled, power_tables
 
@@ -388,42 +390,79 @@ def _image_matrix(g: ChainMap, generators: Sequence[KElem] | None) -> list[list[
     return matrix_of_images(g.target, columns)
 
 
-def _point_rows(g: ChainMap, generators: Sequence[KElem] | None):
-    """``rows_at(field, point)`` for :func:`linalg.rank_at_points`: the rows
-    of :func:`_image_matrix` at the point, in the target's index-set order,
-    computed without building any perturbed image.
+@functools.cache
+def _faces(nvars: int) -> dict[IndexSet, list[tuple[IndexSet, int, int]]]:
+    """Index set I -> the terms of ``ComplexDescriptor.boundary(I)`` as
+    (I without its j-th index i, i - 1, j % 2): the face, the variable and
+    the sign parity of the coefficient (-1)^j t_i^(level+1), so values at a
+    point are read from a table of the 2n signed powers.  Every level
+    shares the table; it depends only on ``nvars``."""
+    variables = range(1, nvars + 1)
+    return {
+        indices: [(indices[:j] + indices[j + 1 :], i - 1, j & 1) for j, i in enumerate(indices)]
+        for k in range(nvars + 1)
+        for indices in combinations(variables, k)
+    }
 
-    A perturbation by drawn homotopy values is read from its base map and
-    its draws: the column of s_I is base_I(p) + D(p) h_I(p) + the sum over
-    the faces of I of +-p_i^(m+1) h_(I without i)(p), both differentials
-    read from ``ComplexDescriptor.boundary``.  Any other map is its own base
-    with no draws, so its columns are the values of its images.  A
-    generator x gives sum_I x_I(p) col_I(p), so only the columns it touches
-    are evaluated.  Drawn values have coefficients +-1; only a base map or
-    generator with fractional coefficients can raise UnluckyPrimeError, and
-    then, for generators, not necessarily at the primes where the
+
+def _point_evaluation(g: ChainMap, generators: Sequence[KElem] | None):
+    """``at(field, point) -> (rows, boundary)``: the map's values at a point,
+    without building any perturbed image, as two thunks sharing one
+    evaluation of the base map and the homotopy draws.
+
+    ``rows()`` gives the rows of :func:`_image_matrix` at the point, in the
+    target's index-set order.  A perturbation by drawn homotopy values is
+    read from its base map and its draws: the column of s_I is base_I(p) +
+    D(p) h_I(p) + the sum over the faces of I of +-p_i^(m+1) h_(I without
+    i)(p), with the differentials of ``ComplexDescriptor.boundary``.  Any
+    other map is its own base with no draws, so its columns are the values
+    of its images.  A generator x gives sum_I x_I(p) col_I(p), so only the
+    columns it touches are evaluated.
+
+    ``boundary`` is None unless the columns are all the s_I.  Then
+    ``boundary()`` checks the differential law D_t B = B D_s of the base
+    map exactly at the point and returns None if it fails; otherwise it
+    returns the rows of the 2^(n-1)-square boundary matrix M = pi D_t (B +
+    H D_s): its columns are the index sets I that contain 1, its rows the
+    target index sets J that do not (pi keeps those coordinates), each in
+    index-set order.  With the law in force M = pi gamma(p) D_s, the map
+    on the boundaries (see :func:`_column_rank`).
+
+    Drawn values have coefficients +-1; only a base map or generator with
+    fractional coefficients can raise UnluckyPrimeError.  A law that holds
+    has read every base image, and ``rows()`` reads them all, so a rank
+    of all the s_I raises at the same primes whichever thunks decide it;
+    for generators the rows need not raise at the primes where the
     polynomial images g(x) would.
     """
     images, source, target = g.images, g.source, g.target
     drawn = isinstance(images, _LazyImages) and images.draws is not None
     base, draws = (images.base, images.draws) if drawn else (g, {})
+    faces = _faces(source.nvars)
     if generators is None:
         needed = list(source.index_sets())
     else:
         needed = list(dict.fromkeys(indices for gen in generators for indices in gen.coeffs))
-    faces = {indices: [(f, c) for f, c in source.boundary(indices) if f in draws] for indices in needed}
-    homotopy = set(needed).union(face for terms in faces.values() for face, _ in terms).intersection(draws)
+    homotopy = set(needed).union(face for indices in needed for face, _, _ in faces[indices]).intersection(draws)
     polys = [poly for indices in needed for poly in base.images[indices].coeffs.values()]
     polys += [poly for gen in generators or () for poly in gen.coeffs.values()]
     monos = [mono for poly in polys for mono in poly.terms]
     monos += [mono for indices in homotopy for _, mono, _ in draws[indices]]
     # the source differential reads t_i^(m+1), the target's reads t_i
-    max_exp = [max(exps) for exps in zip((source.level + 1,) * source.nvars, *monos)]
+    top = source.level + 1
+    max_exp = [max(exps) for exps in zip((top,) * source.nvars, *monos)]
     row_of = {jset: r for r, jset in enumerate(target.index_sets())}
+    square = generators is None and source.nvars == target.nvars
+    # pi D_t: a J that holds 1 reaches the coordinates without 1 only by dropping 1
+    projected = {jset: terms[:1] if jset[:1] == (1,) else terms for jset, terms in faces.items()}
+    with_one = [indices for indices in needed if indices[:1] == (1,)]
+    boundary_row_of = {jset: r for r, jset in enumerate(j for j in row_of if j[:1] != (1,))}
 
-    def rows_at(field, point):
+    def at(field, point):
         pows = power_tables(point, max_exp, field.mul)
         mul, add, neg = field.mul, field.add, field.neg
+        dt = [(row[1], neg(row[1])) for row in pows]  # +-p_i, the target's boundary values
+        ds = [(row[top], neg(row[top])) for row in pows]  # +-p_i^(m+1), the source's
 
         def value(poly: Poly) -> int:
             return field.evaluate(poly, pows)
@@ -431,6 +470,13 @@ def _point_rows(g: ChainMap, generators: Sequence[KElem] | None):
         def add_scaled_into(acc: dict, f: int, vec: dict) -> None:
             for key, v in vec.items():
                 acc[key] = add(acc.get(key, 0), mul(f, v))
+
+        def differential_into(acc: dict, vec: dict, terms_of: dict) -> None:
+            """acc += D_t vec, over the faces that ``terms_of`` lists."""
+            for jset, v in vec.items():
+                if v:
+                    for face, i, odd in terms_of[jset]:
+                        acc[face] = add(acc.get(face, 0), mul(dt[i][odd], v))
 
         h: dict[IndexSet, dict] = {}  # drawn homotopy values at the point
         for indices in homotopy:
@@ -441,22 +487,29 @@ def _point_rows(g: ChainMap, generators: Sequence[KElem] | None):
                     if e:
                         v = mul(v, pows[i][e])
                 vec[jset] = add(vec.get(jset, 0), v if sign > 0 else neg(v))
-        d: dict[IndexSet, dict] = {}  # target differentials of basis elements at the point
+        based: dict[IndexSet, dict] = {}  # base images at the point
+
+        def base_value(indices: IndexSet) -> dict:
+            vec = based.get(indices)
+            if vec is None:
+                vec = based[indices] = {jset: value(poly) for jset, poly in base.images[indices].coeffs.items()}
+            return vec
+
+        def homotopy_of_boundary_into(acc: dict, indices: IndexSet) -> None:
+            """acc += H D_s s_I."""
+            for face, i, odd in faces[indices]:
+                hf = h.get(face)
+                if hf:
+                    add_scaled_into(acc, ds[i][odd], hf)
+
         columns: dict[IndexSet, dict] = {}
 
         def column(indices: IndexSet) -> dict:
             col = columns.get(indices)
             if col is None:
-                col = columns[indices] = {
-                    jset: value(poly) for jset, poly in base.images[indices].coeffs.items()
-                }
-                for jset, v in h.get(indices, {}).items():
-                    dj = d.get(jset)
-                    if dj is None:
-                        dj = d[jset] = {face: value(coeff) for face, coeff in target.boundary(jset)}
-                    add_scaled_into(col, v, dj)
-                for face, coeff in faces[indices]:
-                    add_scaled_into(col, value(coeff), h[face])
+                col = columns[indices] = dict(base_value(indices))
+                differential_into(col, h.get(indices, {}), faces)
+                homotopy_of_boundary_into(col, indices)
             return col
 
         def combination(gen: KElem) -> dict:
@@ -467,15 +520,77 @@ def _point_rows(g: ChainMap, generators: Sequence[KElem] | None):
                     add_scaled_into(col, f, column(indices))
             return col
 
-        cols = map(column, needed) if generators is None else map(combination, generators)
-        rows: list[dict] = [{} for _ in row_of]
-        for j, col in enumerate(cols):
-            for jset, v in col.items():
-                if v:
-                    rows[row_of[jset]][j] = v
-        return rows
+        def rows() -> list[dict]:
+            cols = map(column, needed) if generators is None else map(combination, generators)
+            return _scatter(cols, row_of)
 
-    return rows_at
+        def law_holds() -> bool:
+            values = {indices: base_value(indices) for indices in needed}
+            for indices, vec in values.items():
+                diff: dict = {}  # (D_t B - B D_s) s_I
+                for jset, v in vec.items():
+                    for face, i, odd in faces[jset]:
+                        diff[face] = add(diff.get(face, 0), mul(dt[i][odd], v))
+                for face, i, odd in faces[indices]:
+                    f = ds[i][odd ^ 1]
+                    for jset, v in values[face].items():
+                        diff[jset] = add(diff.get(jset, 0), mul(f, v))
+                if any(diff.values()):
+                    return False
+            return True
+
+        def boundary_column(indices: IndexSet) -> dict:
+            vec = dict(base_value(indices))
+            homotopy_of_boundary_into(vec, indices)
+            col: dict = {}
+            differential_into(col, vec, projected)
+            return col
+
+        def boundary() -> list[dict] | None:
+            return _scatter(map(boundary_column, with_one), boundary_row_of) if law_holds() else None
+
+        return rows, boundary if square else None
+
+    return at
+
+
+def _scatter(columns, row_of: dict) -> list[dict]:
+    """The rows, as dicts from column position to nonzero value, of the
+    columns given as dicts from row key to value; ``row_of`` numbers the
+    row keys."""
+    rows: list[dict] = [{} for _ in row_of]
+    for j, col in enumerate(columns):
+        for key, v in col.items():
+            if v:
+                rows[row_of[key]][j] = v
+    return rows
+
+
+def _point_rows(g: ChainMap, generators: Sequence[KElem] | None):
+    """``rows_at(field, point)``: the rows of :func:`_image_matrix` at the
+    point (see :func:`_point_evaluation`)."""
+    at = _point_evaluation(g, generators)
+    return lambda field, point: at(field, point)[0]()
+
+
+def _point_rank(g: ChainMap, generators: Sequence[KElem] | None, upper: int):
+    """``rank_at(field, point)`` for :func:`linalg.rank_at_points`: the rank
+    of the map's columns at the point.  When all 2^n columns are ranked, the
+    law holds at the point and the boundary matrix M has full rank 2^(n-1),
+    the answer is ``upper`` = 2^n without building the full rows (see
+    :func:`_column_rank`); otherwise the full rows at the same field and
+    point decide."""
+    at = _point_evaluation(g, generators)
+
+    def rank_at(field, point):
+        rows, boundary = at(field, point)
+        if boundary is not None:
+            cols = boundary()
+            if cols is not None and point_rank(cols, field, upper // 2) == upper // 2:
+                return upper
+        return point_rank(rows(), field, upper)
+
+    return rank_at
 
 
 def _column_rank(
@@ -484,7 +599,7 @@ def _column_rank(
     """Rank of the images of the generators (of every s_I when None), and a
     kernel witness when asked for: the one place a chain-map rank is decided.
 
-    The rank is first evaluated at random points (see :func:`_point_rows`).
+    The rank is first evaluated at random points (see :func:`_point_rank`).
     The modular method evaluates in fields of ``prime_bits()`` bits, drawing
     from ``rng`` (a fixed-seed generator when None).  The exact method
     evaluates at the default field size from its own fixed-seed generator,
@@ -494,6 +609,25 @@ def _column_rank(
     witness is asked for (then any rank below the column count is owed one),
     the image matrix is built and one fraction-free elimination decides.
     Its echelon gives the witness: a kernel vector, None when injective.
+
+    The rank of all 2^n columns at a point p with nonzero coordinates is
+    first decided on the boundaries.  There both Koszul differentials, D_s
+    on K_n(m) and D_t on K_n(0), are exact, so the cycles Z_s = ker D_s are
+    im D_s, of dimension 2^(n-1).  Suppose D_t A = A D_s for A = gamma(p).
+    Then A is invertible iff it is injective on Z_s: if A v = 0, then
+    A D_s v = D_t A v = 0, so D_s v = 0 by injectivity on Z_s; hence v lies
+    in Z_s, and v = 0.  The D_s s_I for I containing 1 are a basis of Z_s
+    (dropping the 1 is the only term of D_s s_I on the coordinates J
+    without 1, with coefficient +-p_1^(m+1)), and A maps Z_s into Z_t =
+    im D_t, on which the projection pi onto those J is an isomorphism for
+    the same reason.  So A is invertible iff the 2^(n-1)-square M =
+    pi A D_s on those s_I is.  For A = B + D_t H + H D_s (a base map and
+    drawn homotopy values; H = 0 for other maps), d^2 = 0 gives
+    D_t A - A D_s = D_t B - B D_s, and, when that vanishes, M = pi D_t (B +
+    H D_s), built from B and H without a column of A.  The law is checked
+    exactly on B at each point, so a full M is the rank 2^n; a failed law
+    or a deficient M builds the full rows at the same field and point, and
+    every per-point rank, and so every draw, is the full rows' rank.
     """
     if generators is not None and any(gen.desc != g.source for gen in generators):
         raise ValueError("element does not live in the source complex")
@@ -503,7 +637,7 @@ def _column_rank(
         rng, size = random.Random(0x5EED), {}  # the default field size
     else:
         rng, size = random.Random(0x5EED) if rng is None else rng, {"bits": prime_bits()}
-    evaluated = rank_at_points(_point_rows(g, generators), g.target.nvars, g.target.char, rng, upper, **size)
+    evaluated = rank_at_points(_point_rank(g, generators, upper), g.target.nvars, g.target.char, rng, upper, **size)
     if evaluated == (cols if witness else upper) or (method is RankMethod.MODULAR and not witness):
         return evaluated, None
     matrix = _image_matrix(g, generators)

@@ -6,7 +6,8 @@ across runs: each trial draws from its own generator derived from the master
 seed and the trial index, so results do not depend on execution order.
 
 Exit codes: 0 all checks passed, 1 check failure, 2 usage error (including
-an --out path that cannot be opened for writing, checked before any trial),
+an --n above MAX_N and an --out path that cannot be opened for writing, both
+checked before any trial),
 3 falsification event (a certified property failed on a verified map; the
 offending map is dumped in full).
 
@@ -55,6 +56,12 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_FALSIFICATION = 3
+
+# Largest --n: a complex has 2^n basis elements, and one trial at n = 12
+# takes up to about 45 s (certify in characteristic 2) on 2 shared cores
+# with CPython 3.11, several times what n = 11 takes; a larger n would run
+# for minutes to hours per trial, so it is a usage error, not a hang.
+MAX_N = 12
 
 
 @dataclass
@@ -295,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("cancellation", "run cancellation-graph analysis on random maps"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--n", type=int, required=True, help="number of variables")
+        p.add_argument("--n", type=int, required=True, help=f"number of variables (1 to {MAX_N})")
         p.add_argument("--m", type=int, default=1, help="source level (default 1)")
         p.add_argument("--char", type=int, choices=(0, 2), default=0, help="characteristic")
         p.add_argument("--seed", type=int, default=0, help="master seed (reproducible output)")
@@ -332,6 +339,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.n < 1:
         parser.exit(EXIT_USAGE, "error: --n must be at least 1\n")
+    if args.n > MAX_N:
+        parser.exit(EXIT_USAGE, f"error: --n must be at most {MAX_N}\n")
     if args.m < 0:
         parser.exit(EXIT_USAGE, "error: --m must be non-negative\n")
     if args.trials < 1:

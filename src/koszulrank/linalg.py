@@ -13,12 +13,15 @@ Three layers live here:
   all read from one echelon, ``_bareiss_echelon``;
 * randomized evaluation ranks: one loop, ``rank_at_points``, draws random
   points of a large prime field (characteristic 0) or of GF(2^k)
-  (characteristic 2; log tables up to GF(2^16), quadratic towers above) and
-  ranks a matrix's values there, as sparse rows that the caller's
-  ``rows_at`` computes at each point.  ``chain_maps`` computes the values
-  of every chain map there; ``evaluation_rank`` supplies them for matrices
-  of polynomials.  The characteristic only picks
-  the field.  An evaluation rank never exceeds the true rank, so a full
+  (characteristic 2; log tables up to GF(2^16), quadratic towers above)
+  and asks the caller's ``rank_at(field, point)`` for the rank of the
+  matrix's values there.  The callback returns that rank, an int, and
+  reduces whatever sparse rows it builds with ``point_rank``, the one
+  sparsest-first elimination of evaluated rows.  ``chain_maps`` ranks
+  every chain map this way, first on a half-size matrix of boundary
+  values when that can decide it; ``evaluation_rank`` ranks the evaluated
+  entries of a matrix of polynomials.  The characteristic only picks the
+  field.  An evaluation rank never exceeds the true rank, so a full
   evaluation rank certifies the exact answer.
 """
 
@@ -592,26 +595,21 @@ def _rank_and_kernel(matrix: list[list[Poly]]):
 # ---------------------------------------------------------------------------
 
 
-def rank_at_points(rows_at, nvars: int, char: Char, rng, upper: int, trials: int = 5, bits: int = 31) -> int:
+def rank_at_points(rank_at, nvars: int, char: Char, rng, upper: int, trials: int = 5, bits: int = 31) -> int:
     """Probabilistic rank over the fraction field of a matrix given by its values at points.
 
     The one evaluation loop.  Each trial draws its field (a fresh random
     prime of ``bits`` bits in characteristic 0, ``gf2_field(bits)`` in
     characteristic 2; evaluation must stay in the same characteristic for
     minors to keep vanishing), then one uniform nonzero element per
-    variable, and ranks ``rows_at(field, point)``: the matrix's rows at that
-    point, as dicts from int column position to nonzero value.  A
-    ``rows_at`` that raises UnluckyPrimeError (a coefficient denominator vanished)
+    variable, and asks ``rank_at(field, point)`` for the rank of the
+    matrix's values at that point (see :func:`point_rank`).  A ``rank_at``
+    that raises UnluckyPrimeError (a coefficient denominator vanished)
     makes the trial draw a new prime and point.  ``upper`` is
     min(rows, columns); a matrix without rows or columns has rank 0 and
     draws nothing.  The maximum rank over the given number of trials is
     returned, stopping at the first full one; it is a certain lower bound
     for the true rank and equals it with overwhelming probability.
-
-    Rows are reduced in increasing order of their nonzero count, and column
-    positions are relabelled by increasing nonzero count, so each row leads
-    with its sparsest column (a static Markowitz order); rank depends on
-    neither order.
     """
     if not upper:
         return 0
@@ -621,11 +619,10 @@ def rank_at_points(rows_at, nvars: int, char: Char, rng, upper: int, trials: int
             field = PrimeField(random_prime(bits, rng)) if char is Char.ZERO else gf2_field(bits)
             point = [field.random_nonzero(rng) for _ in range(nvars)]
             try:
-                rows = rows_at(field, point)
+                rank = rank_at(field, point)
             except UnluckyPrimeError:
                 continue  # a coefficient denominator vanished: draw a new prime
             break
-        rank = len(_reduce(_sparsest_first(rows), field, upper))
         if rank > best:
             best = rank
         if best == upper:
@@ -633,12 +630,18 @@ def rank_at_points(rows_at, nvars: int, char: Char, rng, upper: int, trials: int
     return best
 
 
-def _sparsest_first(rows: list[dict]) -> list[dict]:
-    """The nonzero rows by increasing nonzero count, their column positions
-    relabelled 0, 1, ... by increasing nonzero count (ties by position)."""
+def point_rank(rows, field, upper: int | None = None) -> int:
+    """Rank over ``field`` of sparse rows, dicts from column key to nonzero value.
+
+    Rows are reduced in increasing order of their nonzero count, and column
+    keys are relabelled 0, 1, ... by increasing nonzero count (ties by key),
+    so each row leads with its sparsest column (a static Markowitz order);
+    the rank depends on neither order.  Stops once ``upper`` pivots are found.
+    """
     counts = Counter(c for row in rows for c in row)
     label = {c: k for k, c in enumerate(sorted(counts, key=lambda c: (counts[c], c)))}
-    return sorted(({label[c]: v for c, v in row.items()} for row in rows if row), key=len)
+    ordered = sorted(({label[c]: v for c, v in row.items()} for row in rows if row), key=len)
+    return len(_reduce(ordered, field, upper))
 
 
 def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, bits: int = 31) -> int:
@@ -648,8 +651,11 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
     each point; the draws, the fields and the meaning of the answer are
     that loop's.
 
-    Cost, in-process on 2 shared cores with CPython 3.11: a fully graded
-    n=8 bound matrix (256 x 256, about 3k nonzero entries) reduces in about
+    Cost of reducing the full matrix (a chain map's whole rank usually
+    reduces only a half-size boundary matrix, see
+    ``chain_maps._column_rank``), in-process on 2 shared cores with
+    CPython 3.11: a fully graded n=8 bound matrix (256 x 256, about 3k
+    nonzero entries) reduces in about
     0.03 s over a 31-bit prime, 0.05 s over GF(2^16), 0.13 s over GF(2^32)
     and 0.9 s over GF(2^64).
     """
@@ -660,8 +666,11 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
     monos = [mono for row in entries for _, e in row for mono in e.terms]
     max_exp = [max(exps) for exps in zip(*monos)] or [0] * nvars
 
-    def rows_at(field, point):
-        pows = power_tables(point, max_exp, field.mul)
-        return [{j: v for j, e in row if (v := field.evaluate(e, pows))} for row in entries]
+    upper = min(len(matrix), len(matrix[0]))
 
-    return rank_at_points(rows_at, nvars, char, rng, min(len(matrix), len(matrix[0])), trials, bits)
+    def rank_at(field, point):
+        pows = power_tables(point, max_exp, field.mul)
+        rows = [{j: v for j, e in row if (v := field.evaluate(e, pows))} for row in entries]
+        return point_rank(rows, field, upper)
+
+    return rank_at_points(rank_at, nvars, char, rng, upper, trials, bits)

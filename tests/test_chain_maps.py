@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from koszulrank import chain_maps
+from koszulrank import chain_maps, linalg
 from koszulrank.certificates import (
     CertificateFamily,
     bound_report,
@@ -31,7 +31,7 @@ from koszulrank.chain_maps import (
 )
 from koszulrank.hb_model import compose_to_gamma, construct_alpha, koszul_filt_complex, shuffled_complex
 from koszulrank.koszul import ComplexDescriptor, KElem, random_kelem
-from koszulrank.linalg import PrimeField, bareiss_rank, evaluation_rank, gf2_field, random_prime
+from koszulrank.linalg import PrimeField, bareiss_rank, evaluation_rank, gf2_field, point_rank, random_prime
 from koszulrank.polynomials import Char, Poly, power_tables
 
 
@@ -526,3 +526,85 @@ def test_bound_report_of_a_graded_drawn_map_builds_no_image(char):
     report = bound_report(g, rng=rng)
     assert (report.grading, report.rank) == ("full", 64)
     assert not g.images._cache
+
+
+# ---------------------------------------------------------------------------
+# ranks decided on the boundaries
+# ---------------------------------------------------------------------------
+
+
+def _one_variable_map(char, unit: int, s1: int) -> ChainMap:
+    """The n=1, m=1 map 1 -> unit * 1, s_1 -> s1 * s_1 (a chain map only if unit t1 = s1)."""
+    source, target = ComplexDescriptor(1, 1, char), ComplexDescriptor(1, 0, char)
+    images = {(): target.one().scale(Poly.constant(1, char, unit)),
+              (1,): target.generator((1,)).scale(Poly.constant(1, char, s1))}
+    return ChainMap(source, target, images)
+
+
+@pytest.mark.parametrize("char", list(Char))
+@pytest.mark.parametrize("method", list(RankMethod))
+def test_a_full_boundary_matrix_does_not_decide_a_map_that_breaks_the_law(char, method):
+    # 1 -> 1, s_1 -> 0 has pi gamma D_s = (p^2) nonsingular; 1 -> 0, s_1 -> s_1
+    # has pi D_t (B + H D_s) = (p) nonsingular.  Neither is a chain map, both
+    # have rank 1, and only the law check keeps the boundary rank from saying 2
+    for unit, s1 in ((1, 0), (0, 1)):
+        g = _one_variable_map(char, unit, s1)
+        assert not verify_chain_map(g).commutes
+        assert rank(g, method, random.Random(83)) == 1
+        field = PrimeField(random_prime(31, random.Random(1))) if char is Char.ZERO else gf2_field(16)
+        rows, boundary = chain_maps._point_evaluation(g, None)(field, [5])
+        assert boundary() is None and point_rank(rows(), field) == 1
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_the_boundary_matrix_is_full_exactly_when_the_map_is(char):
+    rng = random.Random(89)
+    deficient = dict.fromkeys((2, 3, 31), 0)
+    for bits in deficient:
+        for grading in _GRADINGS:
+            for n in range(1, 7):
+                g = random_chain_map(n, n % 3, char, rng, grading=grading)
+                at = chain_maps._point_evaluation(g, None)
+                for _ in range(3):
+                    field = PrimeField(random_prime(bits, rng)) if char is Char.ZERO else gf2_field(bits)
+                    rows, boundary = at(field, [field.random_nonzero(rng) for _ in range(n)])
+                    boundary_rows = boundary()
+                    assert boundary_rows is not None and len(boundary_rows) == 1 << (n - 1)
+                    full = point_rank(rows(), field) == 1 << n
+                    assert (point_rank(boundary_rows, field) == 1 << (n - 1)) == full, (char, bits, grading, n)
+                    deficient[bits] += not full
+    assert deficient[2], "no point reached the full rows after a deficient boundary matrix"
+
+
+@pytest.mark.parametrize("denominator", [5, 7])
+def test_unlucky_primes_redraw_like_the_polynomial_matrix(denominator, monkeypatch):
+    # 3-bit primes are 5 and 7 (every 2-bit prime is 3, and a 1/3 would never
+    # evaluate); each rank must meet the unlucky prime where the image
+    # matrix does and draw the same next prime and point
+    monkeypatch.setenv("KOSZUL_PRIME_BITS", "3")
+    primes = []
+    draw_prime = linalg.random_prime
+
+    def recording(bits, rng):
+        primes.append(draw_prime(bits, rng))
+        return primes[-1]
+
+    monkeypatch.setattr(linalg, "random_prime", recording)
+    rng = random.Random(97)
+    base = iota(3, 1, Char.ZERO)
+    fraction = Poly.parse(f"1/{denominator}*t3", 3, Char.ZERO)
+    fractional = homotopy_perturb(base, Homotopy({(1, 2): KElem(base.target, {(1,): fraction})}))
+    broken = dict(base.images)
+    broken[(2,)] = KElem(base.target, {(2,): fraction})  # an image the boundary matrix never reads
+    maps = [
+        fractional,  # a chain map that is its own base
+        homotopy_perturb(fractional, random_homotopy(fractional.source, rng)),  # a drawn one on it
+        ChainMap(base.source, base.target, broken),  # breaks the law: the full rows decide
+    ]
+    for g in maps:
+        for _ in range(4):
+            clone = random.Random()
+            clone.setstate(rng.getstate())
+            assert rank(g, rng=rng) == evaluation_rank(chain_maps._image_matrix(g, None), Char.ZERO, clone, bits=3)
+            assert rng.getstate() == clone.getstate()
+    assert denominator in primes

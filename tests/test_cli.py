@@ -11,6 +11,7 @@ import pytest
 import koszulrank
 from koszulrank import cli
 from koszulrank.chain_maps import ChainMap, verify_chain_map
+from koszulrank.koszul import ComplexDescriptor
 from koszulrank.cli import (
     EXIT_FALSIFICATION,
     EXIT_OK,
@@ -52,6 +53,22 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as info:
         main(["certify", "--n", "3", "--char", "5"])
     assert info.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["verify-complex", "certify", "cancellation"])
+def test_an_n_above_the_cap_exits_2_before_building_a_complex(command, capsys, monkeypatch):
+    def no_complex(self):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(ComplexDescriptor, "__post_init__", no_complex)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--n", str(cli.MAX_N + 1), "--trials", "1"])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: --n must be at most {cli.MAX_N}\n"
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"(1 to {cli.MAX_N})" in capsys.readouterr().out
 
 
 def _main_output(argv, capsys):

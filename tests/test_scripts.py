@@ -76,6 +76,12 @@ def test_bench_records_micro_timings(tmp_path, monkeypatch):
     draws = record["micro"]["draws"]
     assert set(draws) == {"certify-q", "certify-f2", "cancel-q-m1", "cancel-q-m2", "cancel-f2-m1", "cancel-f2-m2"}
     assert all(seconds > 0 for seconds in draws.values())
+    bound = record["micro"]["bound"]
+    assert (bound["m"], bound["grading"]) == (1, "full") and set(bound["chars"]) == {"0", "2"}
+    for entry in bound["chars"].values():
+        assert sorted(entry) == ["8", "9"]
+        for cell in entry.values():
+            assert cell["rank_s"] > 0 and 0 < cell["boundary_entries"] < cell["full_entries"]
 
 
 def _run(argv):
