@@ -467,17 +467,17 @@ def random_coeffs(n: int, m: int, char: Char, rng) -> dict:
 def contradiction_witness(g: ChainMap, coeffs: dict) -> WitnessReport:
     """Expand the combination of triple boundaries and exhibit a survivor.
 
-    The word-length-2 expansion is computed directly; a zero result would be
-    a falsification event and is returned with the full scheme attached so
-    callers can surface it loudly.  When nonzero, the 3-sink of the
-    cancellation graph and one of its surviving regular summands realize the
-    counting argument on the concrete instance.
+    The word-length-2 part of g(d s_T) is the sum of the vertex's regular
+    and rest summands (they split coeff * g(s_pair) per pair); a zero result
+    would be a falsification event and is returned with the full scheme
+    attached so callers can surface it loudly.  When nonzero, the 3-sink of
+    the cancellation graph and one of its surviving regular summands realize
+    the counting argument on the concrete instance.
     """
     tc = classify_terms(g, coeffs)
     expansion: dict = {}
-    for triple, poly in tc.coeffs.items():
-        image = g.apply(g.source.generator(triple).differential())
-        add_scaled(expansion, image.project_wordlength(2).coeffs, poly)
+    for vertex, elem in tc.regular + tc.rest:
+        add_scaled(expansion, elem.coeffs, tc.coeffs[vertex])
     value = KElem._raw(g.target, expansion)
     analysis = build_cancellation_graph(tc)
     acyclic3 = analysis.graph.is_l_acyclic(3)

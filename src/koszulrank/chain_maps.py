@@ -28,7 +28,7 @@ from enum import Enum
 from collections.abc import Mapping, Sequence
 from itertools import combinations
 
-from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, _Drawer
+from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, _Drawer, faces
 from .linalg import _rank_and_kernel, bareiss_rank, point_rank, rank_at_points
 from .linalg import evaluation_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
 from .polynomials import Char, Poly, add_into, add_scaled, power_tables
@@ -392,17 +392,11 @@ def _image_matrix(g: ChainMap, generators: Sequence[KElem] | None) -> list[list[
 
 @functools.cache
 def _faces(nvars: int) -> dict[IndexSet, list[tuple[IndexSet, int, int]]]:
-    """Index set I -> the terms of ``ComplexDescriptor.boundary(I)`` as
-    (I without its j-th index i, i - 1, j % 2): the face, the variable and
-    the sign parity of the coefficient (-1)^j t_i^(level+1), so values at a
-    point are read from a table of the 2n signed powers.  Every level
-    shares the table; it depends only on ``nvars``."""
+    """Index set I -> :func:`koszul.faces` of I, for every I in ``nvars``
+    variables, so the boundary values at a point are read from a table of
+    the 2n signed powers.  Every level shares the table."""
     variables = range(1, nvars + 1)
-    return {
-        indices: [(indices[:j] + indices[j + 1 :], i - 1, j & 1) for j, i in enumerate(indices)]
-        for k in range(nvars + 1)
-        for indices in combinations(variables, k)
-    }
+    return {indices: faces(indices) for k in range(nvars + 1) for indices in combinations(variables, k)}
 
 
 def _point_evaluation(g: ChainMap, generators: Sequence[KElem] | None):
@@ -412,12 +406,12 @@ def _point_evaluation(g: ChainMap, generators: Sequence[KElem] | None):
 
     ``rows()`` gives the rows of :func:`_image_matrix` at the point, in the
     target's index-set order.  A perturbation by drawn homotopy values is
-    read from its base map and its draws: the column of s_I is base_I(p) +
-    D(p) h_I(p) + the sum over the faces of I of +-p_i^(m+1) h_(I without
-    i)(p), with the differentials of ``ComplexDescriptor.boundary``.  Any
-    other map is its own base with no draws, so its columns are the values
-    of its images.  A generator x gives sum_I x_I(p) col_I(p), so only the
-    columns it touches are evaluated.
+    read from its base map and its draws: the column of s_I is (B + H D_s)
+    s_I + D_t h_I, that is base_I(p) + the sum over the faces of I of
+    +-p_i^(m+1) h_(I without i)(p) + D(p) h_I(p), with the differentials of
+    :func:`koszul.faces`.  Any other map is its own base with no draws, so
+    its columns are the values of its images.  A generator x gives sum_I
+    x_I(p) col_I(p), over the columns it touches.
 
     ``boundary`` is None unless the columns are all the s_I.  Then
     ``boundary()`` checks the differential law D_t B = B D_s of the base
@@ -426,24 +420,24 @@ def _point_evaluation(g: ChainMap, generators: Sequence[KElem] | None):
     H D_s): its columns are the index sets I that contain 1, its rows the
     target index sets J that do not (pi keeps those coordinates), each in
     index-set order.  With the law in force M = pi gamma(p) D_s, the map
-    on the boundaries (see :func:`_column_rank`).
+    on the boundaries (see :func:`_column_rank`).  Each base value and each
+    (B + H D_s) s_I is computed once per point, whichever thunks read it.
 
     Drawn values have coefficients +-1; only a base map or generator with
-    fractional coefficients can raise UnluckyPrimeError.  A law that holds
-    has read every base image, and ``rows()`` reads them all, so a rank
-    of all the s_I raises at the same primes whichever thunks decide it;
-    for generators the rows need not raise at the primes where the
-    polynomial images g(x) would.
+    fractional coefficients can raise UnluckyPrimeError.  Every base image
+    of a touched s_I is evaluated before either thunk runs, so whether a
+    prime is unlucky depends on the prime alone.
     """
     images, source, target = g.images, g.source, g.target
     drawn = isinstance(images, _LazyImages) and images.draws is not None
     base, draws = (images.base, images.draws) if drawn else (g, {})
-    faces = _faces(source.nvars)
-    if generators is None:
+    face_terms = _faces(source.nvars)
+    whole = generators is None
+    if whole:
         needed = list(source.index_sets())
     else:
         needed = list(dict.fromkeys(indices for gen in generators for indices in gen.coeffs))
-    homotopy = set(needed).union(face for indices in needed for face, _, _ in faces[indices]).intersection(draws)
+    homotopy = set(needed).union(face for indices in needed for face, _, _ in face_terms[indices]).intersection(draws)
     polys = [poly for indices in needed for poly in base.images[indices].coeffs.values()]
     polys += [poly for gen in generators or () for poly in gen.coeffs.values()]
     monos = [mono for poly in polys for mono in poly.terms]
@@ -452,11 +446,11 @@ def _point_evaluation(g: ChainMap, generators: Sequence[KElem] | None):
     top = source.level + 1
     max_exp = [max(exps) for exps in zip((top,) * source.nvars, *monos)]
     row_of = {jset: r for r, jset in enumerate(target.index_sets())}
-    square = generators is None and source.nvars == target.nvars
-    # pi D_t: a J that holds 1 reaches the coordinates without 1 only by dropping 1
-    projected = {jset: terms[:1] if jset[:1] == (1,) else terms for jset, terms in faces.items()}
-    with_one = [indices for indices in needed if indices[:1] == (1,)]
-    boundary_row_of = {jset: r for r, jset in enumerate(j for j in row_of if j[:1] != (1,))}
+    if whole:
+        # pi D_t: a J that holds 1 reaches the coordinates without 1 only by dropping 1
+        projected = {jset: terms[:1] if jset[:1] == (1,) else terms for jset, terms in face_terms.items()}
+        with_one = [indices for indices in needed if indices[:1] == (1,)]
+        boundary_row_of = {jset: r for r, jset in enumerate(j for j in row_of if j[:1] != (1,))}
 
     def at(field, point):
         pows = power_tables(point, max_exp, field.mul)
@@ -464,19 +458,25 @@ def _point_evaluation(g: ChainMap, generators: Sequence[KElem] | None):
         dt = [(row[1], neg(row[1])) for row in pows]  # +-p_i, the target's boundary values
         ds = [(row[top], neg(row[top])) for row in pows]  # +-p_i^(m+1), the source's
 
-        def value(poly: Poly) -> int:
-            return field.evaluate(poly, pows)
-
         def add_scaled_into(acc: dict, f: int, vec: dict) -> None:
             for key, v in vec.items():
                 acc[key] = add(acc.get(key, 0), mul(f, v))
 
-        def differential_into(acc: dict, vec: dict, terms_of: dict) -> None:
-            """acc += D_t vec, over the faces that ``terms_of`` lists."""
+        def differential_into(acc: dict, vec: dict, terms_of: dict = face_terms) -> dict:
+            """acc += D_t vec, over the faces that ``terms_of`` lists; returns acc."""
             for jset, v in vec.items():
                 if v:
                     for face, i, odd in terms_of[jset]:
                         acc[face] = add(acc.get(face, 0), mul(dt[i][odd], v))
+            return acc
+
+        def faces_into(acc: dict, indices: IndexSet, vecs: dict, flip: int = 0) -> dict:
+            """acc += (-1)^flip V D_s s_I, for the map V whose values are ``vecs``; returns acc."""
+            for face, i, odd in face_terms[indices]:
+                vec = vecs.get(face)
+                if vec:
+                    add_scaled_into(acc, ds[i][odd ^ flip], vec)
+            return acc
 
         h: dict[IndexSet, dict] = {}  # drawn homotopy values at the point
         for indices in homotopy:
@@ -487,69 +487,45 @@ def _point_evaluation(g: ChainMap, generators: Sequence[KElem] | None):
                     if e:
                         v = mul(v, pows[i][e])
                 vec[jset] = add(vec.get(jset, 0), v if sign > 0 else neg(v))
-        based: dict[IndexSet, dict] = {}  # base images at the point
+        evaluate = field.evaluate
+        based = {  # base images at the point
+            indices: {jset: evaluate(poly, pows) for jset, poly in base.images[indices].coeffs.items()}
+            for indices in needed
+        }
+        lowered: dict[IndexSet, dict] = {}
 
-        def base_value(indices: IndexSet) -> dict:
-            vec = based.get(indices)
+        def lower(indices: IndexSet) -> dict:
+            """(B + H D_s) s_I, shared by its full column and its boundary column."""
+            vec = lowered.get(indices)
             if vec is None:
-                vec = based[indices] = {jset: value(poly) for jset, poly in base.images[indices].coeffs.items()}
+                vec = lowered[indices] = faces_into(dict(based[indices]), indices, h)
             return vec
 
-        def homotopy_of_boundary_into(acc: dict, indices: IndexSet) -> None:
-            """acc += H D_s s_I."""
-            for face, i, odd in faces[indices]:
-                hf = h.get(face)
-                if hf:
-                    add_scaled_into(acc, ds[i][odd], hf)
-
-        columns: dict[IndexSet, dict] = {}
-
-        def column(indices: IndexSet) -> dict:
-            col = columns.get(indices)
-            if col is None:
-                col = columns[indices] = dict(base_value(indices))
-                differential_into(col, h.get(indices, {}), faces)
-                homotopy_of_boundary_into(col, indices)
-            return col
-
-        def combination(gen: KElem) -> dict:
-            col: dict = {}
-            for indices, coeff in gen.coeffs.items():
-                f = value(coeff)
-                if f:
-                    add_scaled_into(col, f, column(indices))
-            return col
-
         def rows() -> list[dict]:
-            cols = map(column, needed) if generators is None else map(combination, generators)
+            cols = [differential_into(dict(lower(indices)), h.get(indices, {})) for indices in needed]
+            if not whole:
+                columns = dict(zip(needed, cols))
+                cols = [{} for _ in generators]
+                for col, gen in zip(cols, generators):
+                    for indices, coeff in gen.coeffs.items():
+                        f = evaluate(coeff, pows)
+                        if f:
+                            add_scaled_into(col, f, columns[indices])
             return _scatter(cols, row_of)
 
         def law_holds() -> bool:
-            values = {indices: base_value(indices) for indices in needed}
-            for indices, vec in values.items():
-                diff: dict = {}  # (D_t B - B D_s) s_I
-                for jset, v in vec.items():
-                    for face, i, odd in faces[jset]:
-                        diff[face] = add(diff.get(face, 0), mul(dt[i][odd], v))
-                for face, i, odd in faces[indices]:
-                    f = ds[i][odd ^ 1]
-                    for jset, v in values[face].items():
-                        diff[jset] = add(diff.get(jset, 0), mul(f, v))
-                if any(diff.values()):
+            for indices, vec in based.items():
+                residual = faces_into(differential_into({}, vec), indices, based, flip=1)  # (D_t B - B D_s) s_I
+                if any(residual.values()):
                     return False
             return True
 
-        def boundary_column(indices: IndexSet) -> dict:
-            vec = dict(base_value(indices))
-            homotopy_of_boundary_into(vec, indices)
-            col: dict = {}
-            differential_into(col, vec, projected)
-            return col
-
         def boundary() -> list[dict] | None:
-            return _scatter(map(boundary_column, with_one), boundary_row_of) if law_holds() else None
+            if not law_holds():
+                return None
+            return _scatter([differential_into({}, lower(indices), projected) for indices in with_one], boundary_row_of)
 
-        return rows, boundary if square else None
+        return rows, boundary if whole else None
 
     return at
 
@@ -564,13 +540,6 @@ def _scatter(columns, row_of: dict) -> list[dict]:
             if v:
                 rows[row_of[key]][j] = v
     return rows
-
-
-def _point_rows(g: ChainMap, generators: Sequence[KElem] | None):
-    """``rows_at(field, point)``: the rows of :func:`_image_matrix` at the
-    point (see :func:`_point_evaluation`)."""
-    at = _point_evaluation(g, generators)
-    return lambda field, point: at(field, point)[0]()
 
 
 def _point_rank(g: ChainMap, generators: Sequence[KElem] | None, upper: int):

@@ -533,7 +533,7 @@ class FiltrationReport:
 def verify_filtration(c: FiltComplex) -> FiltrationReport:
     """Check the complex axioms: d^2 = 0, level bookkeeping, lowering, augmentation."""
     violations: list[str] = []
-    d_cols = [c.apply_diff(c.gen_elem(col)) for col in range(len(c.generators))]
+    d_cols = [dict(c.diff.get(col, ())) for col in range(len(c.generators))]
     d_squared_ok = True
     for col, d_col in enumerate(d_cols):
         if c.apply_diff(d_col):
@@ -572,7 +572,10 @@ def verify_filtration(c: FiltComplex) -> FiltrationReport:
 
 
 class ComplexMap:
-    """Linear map between free complexes, stored on the source basis."""
+    """Linear map between free complexes, stored on the source basis.
+
+    Not to be mutated after construction: ``commutes_with_diff`` keeps its outcome.
+    """
 
     def __init__(self, source: FiltComplex, target: FiltComplex, images: list[dict]):
         if source.nvars != target.nvars or source.char is not target.char:
@@ -584,6 +587,7 @@ class ComplexMap:
         self.images = [
             {g: p for g, p in img.items() if p.terms} for img in images
         ]
+        self._law_failures: list[str] | None = None
 
     def apply(self, elem: dict) -> dict:
         out: dict = {}
@@ -592,13 +596,14 @@ class ComplexMap:
         return out
 
     def commutes_with_diff(self) -> list[str]:
-        failures = []
-        for col in range(len(self.source.generators)):
-            lhs = self.target.apply_diff(self.images[col])
-            rhs = self.apply(self.source.apply_diff(self.source.gen_elem(col)))
-            if lhs != rhs:
-                failures.append(self.source.generators[col].name)
-        return failures
+        """Names of the source generators where d(f(x)) != f(d(x)); checked on the first call."""
+        if self._law_failures is None:
+            self._law_failures = [
+                gen.name
+                for col, gen in enumerate(self.source.generators)
+                if self.target.apply_diff(self.images[col]) != self.apply(dict(self.source.diff.get(col, ())))
+            ]
+        return list(self._law_failures)
 
 
 def identity_map(c: FiltComplex) -> ComplexMap:

@@ -5,7 +5,8 @@ ring with basis the exterior monomials s_I (I a strictly increasing index
 set), equipped with the differential sending each degree-one generator s_i
 to t_i^(m+1) and extended as a derivation.  Removing the j-th smallest index
 of I contributes the sign (-1)^(j-1); in characteristic 2 all signs are +1.
-:meth:`ComplexDescriptor.boundary` is the one definition of that rule.
+:func:`faces` is the one definition of that rule; :meth:`ComplexDescriptor.boundary`
+and the point evaluator of ``chain_maps`` both read it.
 
 Elements are sparse maps from index sets to polynomial coefficients.  All
 values are immutable after construction and safe to share.
@@ -30,6 +31,7 @@ __all__ = [
     "KElem",
     "disjoint_blocks",
     "merge_index_sets",
+    "faces",
     "truncated_homology_dim",
     "default_max_degree",
 ]
@@ -63,6 +65,12 @@ def disjoint_blocks(n: int, size: int = 3) -> list[IndexSet]:
     Leftover indices past the last whole block stay unused.
     """
     return [tuple(range(k * size + 1, k * size + size + 1)) for k in range(n // size)]
+
+
+def faces(indices: IndexSet) -> list[tuple[IndexSet, int, int]]:
+    """The terms of d(s_I) as (I without its j-th index i, i - 1, j % 2), j = 0, 1, ...:
+    the face, the 0-based variable and the sign parity of the coefficient (-1)^j t_i^(level+1)."""
+    return [(indices[:j] + indices[j + 1 :], i - 1, j & 1) for j, i in enumerate(indices)]
 
 
 @dataclass(frozen=True)
@@ -106,14 +114,9 @@ class ComplexDescriptor:
         return Poly.t_power(self.nvars, self.char, index, exponent)
 
     def boundary(self, indices: IndexSet) -> list[tuple[IndexSet, Poly]]:
-        """The terms of d(s_I): (I without its j-th index i, (-1)^j t_i^(level+1)), j = 0, 1, ...
-
-        In characteristic 2 every sign is +, since negation is the identity there.
-        """
-        return [
-            (indices[:j] + indices[j + 1 :], self._signed_powers[i - 1][j % 2])
-            for j, i in enumerate(indices)
-        ]
+        """The terms of d(s_I) as (face, (-1)^j t_i^(level+1)), by :func:`faces`; + in characteristic 2."""
+        signed = self._signed_powers
+        return [(face, signed[i][odd]) for face, i, odd in faces(indices)]
 
     def monomial(self, indices: IndexSet) -> Poly:
         """The baseline coefficient prod_{i in I} t_i^level of s_I."""

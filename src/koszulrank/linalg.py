@@ -595,6 +595,12 @@ def _rank_and_kernel(matrix: list[list[Poly]]):
 # ---------------------------------------------------------------------------
 
 
+# Unlucky draws in a row that end a trial.  With P_b primes of b bits, one of
+# them usable, the chance is at most (1 - 1/P_b)^1500 < 2^-50 for P_b <= 43
+# (b <= 9); wider sizes get there only if 97.7% of their primes are unlucky.
+MAX_UNLUCKY_DRAWS = 1500
+
+
 def rank_at_points(rank_at, nvars: int, char: Char, rng, upper: int, trials: int = 5, bits: int = 31) -> int:
     """Probabilistic rank over the fraction field of a matrix given by its values at points.
 
@@ -605,7 +611,8 @@ def rank_at_points(rank_at, nvars: int, char: Char, rng, upper: int, trials: int
     variable, and asks ``rank_at(field, point)`` for the rank of the
     matrix's values at that point (see :func:`point_rank`).  A ``rank_at``
     that raises UnluckyPrimeError (a coefficient denominator vanished)
-    makes the trial draw a new prime and point.  ``upper`` is
+    makes the trial draw a new prime and point, up to ``MAX_UNLUCKY_DRAWS``
+    times in a row; then UnluckyPrimeError names the bit size.  ``upper`` is
     min(rows, columns); a matrix without rows or columns has rank 0 and
     draws nothing.  The maximum rank over the given number of trials is
     returned, stopping at the first full one; it is a certain lower bound
@@ -615,7 +622,7 @@ def rank_at_points(rank_at, nvars: int, char: Char, rng, upper: int, trials: int
         return 0
     best = 0
     for _ in range(trials):
-        while True:
+        for _ in range(MAX_UNLUCKY_DRAWS):
             field = PrimeField(random_prime(bits, rng)) if char is Char.ZERO else gf2_field(bits)
             point = [field.random_nonzero(rng) for _ in range(nvars)]
             try:
@@ -623,6 +630,10 @@ def rank_at_points(rank_at, nvars: int, char: Char, rng, upper: int, trials: int
             except UnluckyPrimeError:
                 continue  # a coefficient denominator vanished: draw a new prime
             break
+        else:
+            raise UnluckyPrimeError(
+                f"{MAX_UNLUCKY_DRAWS} {bits}-bit primes drawn in a row each divide a coefficient denominator"
+            )
         if rank > best:
             best = rank
         if best == upper:

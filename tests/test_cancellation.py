@@ -10,9 +10,11 @@ from koszulrank.cancellation import (
     classify_terms,
     contradiction_witness,
     random_3_acyclic,
+    random_coeffs,
     random_dag,
 )
-from koszulrank.chain_maps import Homotopy, homotopy_perturb, iota, random_chain_map
+from koszulrank import cli
+from koszulrank.chain_maps import GradingMode, Homotopy, homotopy_perturb, iota, random_chain_map
 from koszulrank.koszul import ComplexDescriptor, KElem
 from koszulrank.polynomials import Char, Poly
 
@@ -217,3 +219,43 @@ def test_witness_random_trials():
             assert report.nonzero, (char, coeffs)
             assert report.acyclic3
             assert report.analysis.graph.is_3_sink(report.sink_vertex)
+
+
+def _expansion_from_images(g, coeffs):
+    """The word-length-2 part of g(sum_T c_T d s_T), read from the images of g:
+    the oracle of a witness's value."""
+    expansion = g.target.zero()
+    for triple, poly in coeffs.items():
+        image = g.apply(g.source.generator(triple).differential())
+        expansion = expansion + image.project_wordlength(2).scale(poly)
+    return expansion
+
+
+@pytest.mark.parametrize("char", list(Char))
+def test_witness_value_equals_the_expansion_of_the_images(char):
+    rng = random.Random(101)
+    for n in range(3, 10):
+        for m in range(3):
+            for grading in (None, GradingMode.FULL):
+                g = random_chain_map(n, m, char, rng, grading=grading)
+                coeffs = random_coeffs(n, m, char, rng)
+                assert contradiction_witness(g, coeffs).value == _expansion_from_images(g, coeffs), (n, m, grading)
+
+
+@pytest.mark.parametrize("args", [
+    "cancellation --n 9 --trials 5 --seed 7",
+    "cancellation --n 9 --char 2 --m 2 --trials 5 --seed 7",
+])
+def test_witness_value_equals_the_expansion_of_the_images_on_the_golden_runs(args, monkeypatch, capsys):
+    # the runs whose stdout digests tests/test_cli.py pins
+    values = []
+    witness = cli.contradiction_witness
+
+    def checking(g, coeffs):
+        report = witness(g, coeffs)
+        values.append(report.value == _expansion_from_images(g, coeffs))
+        return report
+
+    monkeypatch.setattr(cli, "contradiction_witness", checking)
+    assert cli.main(args.split()) == cli.EXIT_OK
+    assert values == [True] * 5

@@ -1,6 +1,10 @@
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -438,7 +442,7 @@ def test_columns_from_draws_equal_the_evaluated_images(char, grading):
         for field in _point_fields(char, rng):
             point = [field.random_nonzero(rng) for _ in range(g.source.nvars)]
             for gens in (None, generators):
-                rows = chain_maps._point_rows(g, gens)(field, point)
+                rows = chain_maps._point_evaluation(g, gens)(field, point)[0]()
                 assert not (drawn and g.images._cache)  # no polynomial image was built
                 matrix = chain_maps._image_matrix(g, gens)
                 monos = [mono for row in matrix for e in row for mono in e.terms]
@@ -608,3 +612,26 @@ def test_unlucky_primes_redraw_like_the_polynomial_matrix(denominator, monkeypat
             assert rank(g, rng=rng) == evaluation_rank(chain_maps._image_matrix(g, None), Char.ZERO, clone, bits=3)
             assert rng.getstate() == clone.getstate()
     assert denominator in primes
+
+
+def test_a_rank_that_meets_only_unlucky_primes_ends_with_an_error():
+    # every 2-bit prime is 3, so a 1/3 coefficient never evaluates; the rank
+    # must raise after the capped redraws, not hang (a subprocess, so a
+    # regression fails by timeout instead of stalling the suite)
+    script = "\n".join([
+        "from koszulrank.chain_maps import Homotopy, homotopy_perturb, iota, rank",
+        "from koszulrank.koszul import KElem",
+        "from koszulrank.polynomials import Char, Poly, UnluckyPrimeError",
+        "g = iota(3, 1, Char.ZERO)",
+        "third = Poly.parse('1/3*t3', 3, Char.ZERO)",
+        "try:",
+        "    rank(homotopy_perturb(g, Homotopy({(1, 2): KElem(g.target, {(1,): third})})))",
+        "except UnluckyPrimeError as error:",
+        "    print(error)",
+    ])
+    env = {**os.environ, "KOSZUL_PRIME_BITS": "2"}
+    src = str(Path(chain_maps.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.startswith(f"{linalg.MAX_UNLUCKY_DRAWS} 2-bit primes drawn in a row"), result.stdout

@@ -634,3 +634,26 @@ def test_json_loader_rejects_invalid_complex():
     )
     with pytest.raises(ValueError):
         FiltComplex.from_json(bad.to_json())
+
+
+def test_the_law_of_a_complex_map_is_checked_once(monkeypatch):
+    middle, unshuffle = shuffled_complex(koszul_filt_complex(ComplexDescriptor(3, 0, Char.ZERO)), random.Random(5))
+    alpha = construct_alpha(middle, 1)
+    calls = []
+    apply_diff = FiltComplex.apply_diff
+
+    def counting(self, a):
+        calls.append(self)
+        return apply_diff(self, a)
+
+    monkeypatch.setattr(FiltComplex, "apply_diff", counting)
+    assert alpha.commutes_with_diff() == [] and calls
+    calls.clear()
+    assert alpha.commutes_with_diff() == [] and not calls
+    compose_to_gamma(alpha, unshuffle)  # alpha's law is not evaluated again; beta's is, once
+    assert calls == [unshuffle.target] * len(unshuffle.source.generators)
+    broken = ComplexMap(middle, middle, [middle.gen_elem(0)] * len(middle.generators))
+    failures = broken.commutes_with_diff()
+    assert failures
+    failures.clear()  # the kept outcome is not the caller's list
+    assert broken.commutes_with_diff()

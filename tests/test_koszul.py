@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from koszulrank.chain_maps import _faces
 from koszulrank.hb_model import elem_to_kelem, koszul_filt_complex
 from koszulrank.koszul import (
     ComplexDescriptor,
@@ -52,10 +53,13 @@ def _alternating_boundary(desc, indices):
 
 @pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
 def test_boundary_is_the_alternating_sum(char):
-    for n, level in product(range(1, 6), range(3)):
+    for n, level in product(range(1, 7), range(3)):
         desc = ComplexDescriptor(n, level, char)
         for indices in desc.index_sets():
             assert desc.boundary(indices) == _alternating_boundary(desc, indices)
+            # the point evaluator's table reads the same rule
+            assert [(face, (-1) ** odd * desc.t(i + 1, level + 1)) for face, i, odd in _faces(n)[indices]] == (
+                desc.boundary(indices))
             assert desc.monomial(indices) == Poly.monomial(
                 n, char, [level if i + 1 in indices else 0 for i in range(n)]
             )
