@@ -17,6 +17,7 @@ from collections import Counter
 
 from koszulrank.cancellation import contradiction_witness, random_coeffs
 from koszulrank.chain_maps import random_chain_map
+from koszulrank.cli import MAX_N
 from koszulrank.polynomials import Char
 
 
@@ -32,6 +33,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.n < 3:
         parser.error("--n must be at least 3")
+    if args.n > MAX_N:
+        parser.exit(2, f"error: --n must be at most {MAX_N}\n")
     if args.m < 0:
         parser.error("--m must be non-negative")
     if args.trials < 1:

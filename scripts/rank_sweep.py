@@ -16,6 +16,7 @@ import sys
 
 from koszulrank.certificates import classical_bound, improved_bound
 from koszulrank.chain_maps import GradingMode, RankMethod, random_chain_map, rank
+from koszulrank.cli import MAX_N
 from koszulrank.polynomials import Char
 
 
@@ -28,6 +29,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.trials < 1:
         parser.error("--trials must be at least 1")
+    if args.max_n > MAX_N:
+        parser.exit(2, f"error: --max-n must be at most {MAX_N}\n")
     if any(m < 0 for m in args.m):
         parser.error("--m must be non-negative")
 

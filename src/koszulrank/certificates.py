@@ -23,6 +23,7 @@ from .chain_maps import (
     ChainMap,
     GradingMode,
     RankMethod,
+    _boundary_of,
     _column_rank,
     is_degree_preserving,
     random_chain_map,
@@ -98,7 +99,7 @@ def certificate_generators(
 
     def add_block_diffs(size: int) -> None:
         for block in disjoint_blocks(n, size):
-            add(desc.generator(block).differential(), f"d s{{{','.join(map(str, block))}}}")
+            add(_boundary_of(desc, block), f"d s{{{','.join(map(str, block))}}}")
 
     if family is CertificateFamily.TRIPLE_DIFFS:
         add_block_diffs(3)
@@ -221,7 +222,7 @@ def search_noninjective_char2(trials: int = 100, rng=None, n: int = 3, m: int = 
         rng = random.Random(0xF2)
     desc = ComplexDescriptor(n, m, Char.TWO)
     sub = Submodule(
-        [desc.generator((1, 2, 3)).differential(), desc.generator((1, 2)).differential()],
+        [_boundary_of(desc, (1, 2, 3)), _boundary_of(desc, (1, 2))],
         ["d s{1,2,3}", "d s{1,2}"],
     )
     for _ in range(trials):

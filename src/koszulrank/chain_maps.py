@@ -15,6 +15,12 @@ probability).  One function, ``_column_rank``, decides every rank and every
 certificate check from the map's columns at random points; random maps are
 evaluated from their homotopy draws, so neither a rank nor a full grading
 check builds their images.
+
+Every value that is built when first read is held by one lazy mapping,
+:class:`_LazyImages`: the images of :func:`iota` and :func:`homotopy_perturb`
+and the values of :func:`random_homotopy`.  A perturbed image is built from
+the boundary terms of :meth:`koszul.ComplexDescriptor.boundary`, as the point
+evaluator builds its column.
 """
 
 from __future__ import annotations
@@ -168,16 +174,20 @@ class ChainMap:
         return cls.from_json_dict(json.loads(text))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Homotopy:
     """Generator-indexed values of a degree -1 correction term.
 
     The empty index set must map to zero so perturbed maps stay unital.
-    ``values`` is a dict, or the values of :func:`random_homotopy`, each built
-    from its random draws when first read.
+    ``values`` is a dict, or the :class:`_LazyImages` of
+    :func:`random_homotopy`, each built from its random draws when first
+    read.  ``draws`` is set by :func:`random_homotopy` alone: each index set
+    mapped to its ``(jset, mono, sign)`` terms in draw order (None
+    otherwise).  Frozen, so the draws always describe the values.
     """
 
     values: Mapping[IndexSet, KElem] = field(default_factory=dict)
+    draws: dict[IndexSet, list[tuple]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         empty = self.values.get(())
@@ -218,15 +228,17 @@ def _is_index_set(indices, nvars: int) -> bool:
 
 
 class _LazyImages(Mapping):
-    """Generator images of a map from ``source`` to ``target``, each built by
-    ``build(indices)`` when first read and then cached.
+    """Values on the index sets of ``source``, each an element of ``target``
+    built by ``build(indices)`` when first read and then cached: the images
+    of :func:`iota` and :func:`homotopy_perturb`, and the values of
+    :func:`random_homotopy`.
 
-    Keys are the source's index sets in ``index_sets()`` order; ``build``
-    raises KeyError on any other key and returns an element of ``target``.
-    Reading every value (``items()``, ``==``, serialization) builds them all.
-    A perturbation also keeps its ``base`` map and, when its homotopy values
-    are those of :func:`random_homotopy`, their ``draws``, from which ranks
-    and gradings are read without building images (``draws`` is None
+    Keys are the source's index sets in ``index_sets()`` order; any other key
+    raises KeyError here, before ``build`` runs.  Reading every value
+    (``items()``, ``==``, serialization) builds them all.  A perturbation
+    also keeps its ``base`` map and, when its homotopy is drawn by
+    :func:`random_homotopy`, the homotopy's ``draws``, from which ranks and
+    gradings are read without building images (``draws`` is None
     otherwise).
     """
 
@@ -243,6 +255,8 @@ class _LazyImages(Mapping):
     def __getitem__(self, indices: IndexSet) -> KElem:
         img = self._cache.get(indices)
         if img is None:
+            if not _is_index_set(indices, self.source.nvars):
+                raise KeyError(indices)
             img = self._cache[indices] = self._build(indices)
         return img
 
@@ -265,10 +279,6 @@ def iota(n: int, m: int, char: Char) -> ChainMap:
     target = ComplexDescriptor(n, 0, char)
 
     def build(indices: IndexSet) -> KElem:
-        # not ``indices in images``: a build that refers to its own mapping
-        # makes a reference cycle, and each map then waits for the cyclic GC
-        if not _is_index_set(indices, n):
-            raise KeyError(indices)
         return KElem._raw(target, {indices: source.monomial(indices)})
 
     return ChainMap(source, target, _LazyImages(source, target, build))
@@ -290,11 +300,16 @@ def verify_chain_map(g: ChainMap) -> ChainMapReport:
         if not indices:
             continue
         left = g.images[indices].differential()
-        right = g.apply(g.source.generator(indices).differential())
+        right = g.apply(_boundary_of(g.source, indices))
         if left != right:
             commutes = False
             failures.append(f"differential law fails at I={{{','.join(map(str, indices))}}}")
     return ChainMapReport(unital, commutes, unital and commutes, failures)
+
+
+def _boundary_of(desc: ComplexDescriptor, indices: IndexSet) -> KElem:
+    """d(s_I) in ``desc``, from the terms of :meth:`koszul.ComplexDescriptor.boundary`."""
+    return KElem._raw(desc, dict(desc.boundary(indices)))
 
 
 def homotopy_perturb(g: ChainMap, h: Homotopy) -> ChainMap:
@@ -302,29 +317,35 @@ def homotopy_perturb(g: ChainMap, h: Homotopy) -> ChainMap:
 
     Perturbation preserves the chain-map law and unitality, so the result of
     perturbing a valid map is again valid by construction.  Each image is
-    computed when it is first read (see :class:`_LazyImages`).  The
-    values of :func:`random_homotopy` lie in their target by construction,
-    and the map keeps their draws for evaluation ranks; other values are
+    computed when it is first read (see :class:`_LazyImages`), in one
+    accumulator from the terms of :meth:`koszul.ComplexDescriptor.boundary`,
+    as the point evaluator builds its column (B + H D_s) s_I + D_t h_I:
+    g(s_I), then +-t_i^(m+1) h(I without i), then d(h(s_I)).  The values of
+    :func:`random_homotopy` lie in their target by construction, and the map
+    keeps the homotopy's draws for evaluation ranks; other values are
     checked here.
     """
-    empty = h.values.get(())
+    values, source, target = h.values, g.source, g.target
+    empty = values.get(())
     if empty is not None and not empty.is_zero():
         raise ValueError("perturbing with a homotopy that hits the unit breaks unitality")
-    drawn = isinstance(h.values, _DrawnValues) and h.values.target == g.target
-    if not drawn and any(val.desc != g.target for val in h.values.values()):
+    drawn = h.draws is not None and values.target == target
+    if not drawn and any(val.desc != target for val in values.values()):
         raise ValueError("homotopy values must lie in the target complex")
 
     def build(indices: IndexSet) -> KElem:
-        img = g.images[indices]
-        val = h.values.get(indices)
+        out = dict(g.images[indices].coeffs)
+        for face, coeff in source.boundary(indices):
+            val = values.get(face)
+            if val is not None:
+                add_scaled(out, val.coeffs, coeff)
+        val = values.get(indices)
         if val is not None:
-            img = img + val.differential()
-        if indices:
-            img = img + h.applied_to(g.source.generator(indices).differential(), g.target)
-        return img
+            for jset, poly in val.coeffs.items():
+                add_scaled(out, dict(target.boundary(jset)), poly)
+        return KElem._raw(target, out)
 
-    draws = h.values._draws if drawn else None
-    return ChainMap(g.source, g.target, _LazyImages(g.source, g.target, build, g, draws))
+    return ChainMap(source, target, _LazyImages(source, target, build, g, h.draws if drawn else None))
 
 
 def is_degree_preserving(g: ChainMap, mode: GradingMode) -> bool:
@@ -688,49 +709,6 @@ def _term_tables(desc: ComplexDescriptor, word_degree: int, grading) -> tuple | 
     return range(n + 1), range(cap)
 
 
-class _DrawnValues(Mapping):
-    """Homotopy values kept as their random draws, each built when first read.
-
-    ``draws`` maps an index set to its ``(jset, mono, sign)`` terms in draw
-    order; reading the index set sums them into a target element through
-    :func:`add_into`, as an eager build would.  Index sets whose terms cancel
-    have no value, like the absent index sets.
-    """
-
-    __slots__ = ("target", "_draws", "_built")
-
-    def __init__(self, target: ComplexDescriptor, draws: dict[IndexSet, list[tuple]]):
-        self.target = target
-        self._draws = draws
-        self._built: dict[IndexSet, KElem | None] = {}
-
-    def get(self, indices, default=None):
-        if indices in self._built:
-            val = self._built[indices]
-        else:
-            terms = self._draws.get(indices)
-            if terms is None:
-                return default
-            nvars, char = self.target.nvars, self.target.char
-            coeffs: dict[IndexSet, Poly] = {}
-            for jset, mono, sign in terms:
-                add_into(coeffs, jset, Poly._raw(nvars, char, {mono: sign}))
-            val = self._built[indices] = KElem._raw(self.target, coeffs) if coeffs else None
-        return default if val is None else val
-
-    def __getitem__(self, indices: IndexSet) -> KElem:
-        val = self.get(indices)
-        if val is None:
-            raise KeyError(indices)
-        return val
-
-    def __iter__(self):
-        return (indices for indices in self._draws if self.get(indices) is not None)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-
 def random_homotopy(
     source: ComplexDescriptor,
     rng,
@@ -742,8 +720,10 @@ def random_homotopy(
     Each nonempty index set receives at most ``max_terms`` random monomial
     summands with coefficients +-1 (always 1 in characteristic 2); small
     supports keep exact rank computations tractable.  Every draw is made
-    here, in index-set order; each value is built when first read (see
-    :class:`_DrawnValues`).
+    here, in index-set order, and kept as the homotopy's ``draws``; each
+    value is built when first read (see :class:`_LazyImages`) by summing its
+    index set's drawn terms through :func:`add_into`, and is a zero element
+    where nothing was drawn.
     """
     draw = _Drawer(rng)
     randint, choice, sample, monomial = draw.randint, draw.choice, draw.sample, draw.monomial
@@ -770,7 +750,17 @@ def random_homotopy(
             jset = tuple(sorted(sample(population, size)))
             terms.append((jset, monomial(n, tdeg), 1 if two else choice((1, -1))))
         draws[indices] = terms
-    return Homotopy(_DrawnValues(ComplexDescriptor(source.nvars, 0, source.char), draws))
+    target = ComplexDescriptor(n, 0, source.char)
+
+    def build(indices: IndexSet) -> KElem:
+        coeffs: dict[IndexSet, Poly] = {}
+        for jset, mono, sign in draws.get(indices, ()):
+            add_into(coeffs, jset, Poly._raw(n, source.char, {mono: sign}))
+        return KElem._raw(target, coeffs)
+
+    h = Homotopy(_LazyImages(source, target, build))
+    object.__setattr__(h, "draws", draws)  # frozen; no other constructor sets draws
+    return h
 
 
 def random_chain_map(

@@ -7,9 +7,9 @@ seed and the trial index, so results do not depend on execution order.
 
 Exit codes: 0 all checks passed, 1 check failure, 2 usage error (including
 an --n above MAX_N and an --out path that cannot be opened for writing, both
-checked before any trial),
-3 falsification event (a certified property failed on a verified map; the
-offending map is dumped in full).
+checked before any trial, and an --out write that fails after the trials,
+e.g. on a full disk), 3 falsification event (a certified property failed on
+a verified map; the offending map is dumped in full).
 
 The environment variable KOSZUL_PRIME_BITS (default 31, range 2..64) sets the
 bit size of the random evaluation fields used by the modular rank method: the
@@ -357,13 +357,23 @@ def main(argv=None) -> int:
         "certify": cmd_certify,
         "cancellation": cmd_cancellation,
     }[cfg.command]
+
+    def cannot_write(exc: OSError) -> None:
+        parser.exit(EXIT_USAGE, f"error: cannot write --out {cfg.out}: {exc.strerror or exc}\n")
+
     try:
         sink = open(cfg.out, "w") if cfg.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
-        parser.exit(EXIT_USAGE, f"error: cannot write --out {cfg.out}: {exc.strerror or exc}\n")
-    with sink as handle:
-        code, lines = runner(cfg)
-        handle.write("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+        cannot_write(exc)
+    lines = None
+    try:
+        with sink as handle:
+            code, lines = runner(cfg)
+            handle.write("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+    except OSError as exc:
+        if lines is None or not cfg.out:  # raised by a trial, or by a write to stdout
+            raise
+        cannot_write(exc)  # the write or the close failed, e.g. on a full disk
     return code
 
 

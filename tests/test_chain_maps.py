@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -55,16 +56,16 @@ def _perturbed_plain_iota() -> ChainMap:
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: iota(3, 1, Char.ZERO),
-        lambda: random_chain_map(3, 1, Char.ZERO, random.Random(4)),
-        _perturbed_plain_iota,
+        lambda: iota(3, 1, Char.ZERO).images,
+        lambda: random_chain_map(3, 1, Char.ZERO, random.Random(4)).images,
+        lambda: _perturbed_plain_iota().images,
+        lambda: random_homotopy(ComplexDescriptor(3, 1, Char.ZERO), random.Random(4)).values,
     ],
-    ids=["iota", "random", "perturbed-dict"],
+    ids=["iota", "random", "perturbed-dict", "homotopy-values"],
 )
 def test_iota_images_hold_exactly_the_index_sets(make):
-    g = make()
-    images = g.images
-    assert list(images) == list(g.source.index_sets())
+    images = make()
+    assert list(images) == list(ComplexDescriptor(3, 1, Char.ZERO).index_sets())
     assert len(images) == 8
     assert all(indices in images for indices in images)
     assert [1] not in images
@@ -339,44 +340,72 @@ def test_homotopy_linear_extension():
     assert h.applied_to(x + y, target) == h.applied_to(x, target) + h.applied_to(y, target)
 
 
+def _perturbations(char, grading, rng):
+    """(map, base, homotopy) for n = 1..6 and m = 0..2: iota perturbed by a
+    drawn homotopy; without a grading also iota perturbed by a user dict
+    homotopy, and that user-perturbed map perturbed by a drawn homotopy."""
+    for n in range(1, 7):
+        for m in range(3):
+            base = iota(n, m, char)
+            state = rng.getstate()
+            g = random_chain_map(n, m, char, rng, grading=grading)
+            replay = random.Random()
+            replay.setstate(state)
+            h = random_homotopy(base.source, replay, grading=grading)
+            assert rng.getstate() == replay.getstate()
+            yield g, base, h
+            if grading is None:
+                user = Homotopy({
+                    indices: random_kelem(base.target, rng)
+                    for indices in base.source.index_sets()
+                    if indices and rng.random() < 0.5
+                })
+                perturbed = homotopy_perturb(base, user)
+                yield perturbed, base, user
+                drawn = random_homotopy(base.source, rng)
+                yield homotopy_perturb(perturbed, drawn), perturbed, drawn
+
+
 @pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
 @pytest.mark.parametrize("grading", [GradingMode.FULL, GradingMode.PARITY, None])
 def test_perturbed_images_match_eager_formula(char, grading):
-    rng = random.Random(23)
-    g = random_chain_map(5, 1, char, rng, grading=grading)
-    base = iota(5, 1, char)
-    replay = random.Random(23)
-    h = random_homotopy(base.source, replay, grading=grading)
-    assert rng.getstate() == replay.getstate()
-    order = list(base.source.index_sets())
-    random.Random(0).shuffle(order)  # images must not depend on the read order
-    for indices in order:
-        x = base.source.generator(indices)
-        expected = (
-            base.apply(x)
-            + h.applied_to(x, base.target).differential()
-            + h.applied_to(x.differential(), base.target)
-        )
-        assert g.images[indices] == expected
-    assert list(g.images) == list(base.source.index_sets())
-    assert ChainMap.from_json_dict(g.to_json_dict()) == g
+    for g, base, h in _perturbations(char, grading, random.Random(23)):
+        order = list(base.source.index_sets())
+        random.Random(0).shuffle(order)  # images must not depend on the read order
+        for indices in order:
+            x = base.source.generator(indices)
+            expected = (
+                base.apply(x)
+                + h.applied_to(x, base.target).differential()
+                + h.applied_to(x.differential(), base.target)
+            )
+            assert g.images[indices] == expected, (g.source, indices)
+        assert list(g.images) == list(base.source.index_sets())
+        assert ChainMap.from_json_dict(g.to_json_dict()) == g
 
 
-def test_reading_one_perturbed_image_computes_only_that_image(monkeypatch):
-    calls = 0
-    original = KElem.differential
+def test_reading_one_perturbed_image_computes_only_that_image():
+    base = iota(9, 1, Char.ZERO)
+    h = random_homotopy(base.source, random.Random(29))
+    g = homotopy_perturb(base, h)
+    caches = (g.images._cache, base.images._cache, h.values._cache)
 
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        return original(self)
+    def built():
+        return [{key: id(val) for key, val in cache.items()} for cache in caches]
 
-    monkeypatch.setattr(KElem, "differential", counting)
-    g = random_chain_map(9, 1, Char.ZERO, random.Random(29))
     g.images[(1, 2)]
-    assert 1 <= calls <= 4  # d(s_12), and d(h(s_12)) when h(s_12) != 0
+    assert set(g.images._cache) == set(base.images._cache) == {(1, 2)}
+    # h(s_12), the faces h(s_1) and h(s_2), and h(1), which the perturbation checks
+    assert set(h.values._cache) <= {(), (1, 2), (1,), (2,)}
+    before = built()
     g.images[(1, 2)]
-    assert calls <= 4  # cached
+    assert built() == before  # a second read builds nothing
+
+
+def test_a_homotopy_cannot_swap_its_values_under_its_draws():
+    h = random_homotopy(ComplexDescriptor(3, 1, Char.ZERO), random.Random(1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.values = {}  # a perturbation would then be ranked from draws of other values
 
 
 def test_perturb_rejects_homotopy_in_wrong_complex():

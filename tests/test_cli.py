@@ -310,9 +310,15 @@ def test_bad_prime_bits_is_a_usage_error(value):
     assert "KOSZUL_PRIME_BITS" in line
 
 
-@pytest.mark.parametrize("where", ["directory", "missing parent"])
+@pytest.mark.parametrize("where", ["directory", "missing parent", "full device"])
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.jsonl"
+    out = {
+        "directory": tmp_path,
+        "missing parent": tmp_path / "missing" / "x.jsonl",
+        "full device": Path("/dev/full"),  # opens, but every write fails
+    }[where]
+    if where == "full device" and not out.exists():
+        pytest.skip("no /dev/full on this system")
     with pytest.raises(SystemExit) as info:
         main(["certify", "--n", "3", "--trials", "1", "--out", str(out)])
     assert info.value.code == EXIT_USAGE

@@ -38,6 +38,8 @@ def test_script_runs(argv):
         ["scripts/cancellation_stats.py", "--n", "3", "--trials", "0"],
         ["scripts/bench.py", "--out", "unused.json", "--runs", "-1"],
         ["scripts/bench.py", "--out", "unused.json", "--baseline", "no-such-checkout"],
+        ["scripts/rank_sweep.py", "--max-n", "40", "--trials", "1"],
+        ["scripts/cancellation_stats.py", "--n", "40", "--trials", "1"],
     ],
 )
 def test_script_bad_flag_is_a_usage_error(argv):
