@@ -18,14 +18,16 @@ per characteristic up to the default truncation for m=1 on two n=4
 complexes: a shuffled level-0 Koszul complex, the ``lift`` workload's middle
 complex, which is ranked strand by strand (``homology_s``), and the Koszul
 complex on the linear forms t_i + t_(i+1), which is not Z^n-graded and so is
-ranked by eliminating whole degrees (``elimination_s``).  Each repetition
-ranks a fresh complex, so no kept ranks are reused.  ``construct_alpha`` is
-timed on the same two complexes, whose ranks are computed beforehand so
-only the lifting solves are timed: in one multidegree strand on the middle
-complex (``alpha_s``), by whole degrees on the linear-forms complex
-(``alpha_fallback_s``).  The exact rank of the lift's composite map is
-timed as ``exact_rank_s`` (a full evaluation rank decides it), next to
-fraction-free elimination of the same matrix (``bareiss_s``).  ``certify``
+ranked by eliminating whole degrees (``elimination_s``).  ``koszul_s`` times
+``truncated_homology_dim`` of K_10(1) per characteristic, where ranking the
+strand classes is most of the cost.  Each repetition ranks a fresh complex,
+so no kept ranks are reused.  ``construct_alpha`` is timed on the same two
+complexes, whose ranks are computed beforehand so only the lifting solves
+are timed: in one multidegree strand on the middle complex (``alpha_s``),
+by whole degrees on the linear-forms complex (``alpha_fallback_s``).  The
+exact rank of the lift's composite map is timed as ``exact_rank_s`` (a full
+evaluation rank decides it), next to fraction-free elimination of the same
+matrix (``bareiss_s``).  ``certify``
 holds in-process seconds per trial of ``certify --m 1 --grading full --seed
 7`` per characteristic at n = 8 and 9: one ``cli.main`` call of ``REPEAT``
 trials, its time divided by ``REPEAT``.  ``draws`` holds the median seconds
@@ -65,7 +67,7 @@ from koszulrank.hb_model import (
     linear_forms_koszul_complex,
     shuffled_complex,
 )
-from koszulrank.koszul import ComplexDescriptor
+from koszulrank.koszul import ComplexDescriptor, truncated_homology_dim
 from koszulrank.linalg import PrimeField, _reduce, bareiss_rank, gf2_field, random_prime
 from koszulrank.polynomials import Char, power_tables
 
@@ -75,6 +77,7 @@ MICRO_SEED = 0xBE7C
 REPEAT = 5  # repetitions of each micro-timing
 HOMOLOGY_N = 4
 HOMOLOGY_M = 1
+KOSZUL_N = 10  # truncated_homology_dim of K_KOSZUL_N(HOMOLOGY_M)
 CERTIFY_NS = (8, 9)
 CERTIFY_M = 1
 CERTIFY_SEED = 7
@@ -201,10 +204,12 @@ def homology(repeat: int) -> dict:
         max_degree = default_truncation(HOMOLOGY_N, HOMOLOGY_M, char)
         strands = iter([shuffled_complex(base, rng)[0] for _ in range(repeat)])
         eliminated = iter([linear_forms_koszul_complex(HOMOLOGY_N, char) for _ in range(repeat)])
+        koszul = ComplexDescriptor(KOSZUL_N, HOMOLOGY_M, char)
         out[str(char.value)] = {
             "max_degree": max_degree,
             "homology_s": _timed(lambda: next(strands).homology_dims(max_degree), repeat),
             "elimination_s": _timed(lambda: next(eliminated).homology_dims(max_degree), repeat),
+            "koszul_s": _timed(lambda: truncated_homology_dim(koszul), repeat),
         }
     return out
 
@@ -314,7 +319,7 @@ def main() -> int:
             "seed": MICRO_SEED,
             "repeat": REPEAT,
             "fields": micro(REPEAT),
-            "homology": {"n": HOMOLOGY_N, "m": HOMOLOGY_M, "chars": homology(REPEAT)},
+            "homology": {"n": HOMOLOGY_N, "m": HOMOLOGY_M, "koszul_n": KOSZUL_N, "chars": homology(REPEAT)},
             "lift": {"n": HOMOLOGY_N, "m": HOMOLOGY_M, "chars": lift(REPEAT)},
             "certify": {"m": CERTIFY_M, "grading": "full", "seed": CERTIFY_SEED, "trials": REPEAT,
                         "chars": certify(REPEAT)},

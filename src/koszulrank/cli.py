@@ -7,9 +7,9 @@ seed and the trial index, so results do not depend on execution order.
 
 Exit codes: 0 all checks passed, 1 check failure, 2 usage error (including
 an --n above MAX_N and an --out path that cannot be opened for writing, both
-checked before any trial, and an --out write that fails after the trials,
-e.g. on a full disk), 3 falsification event (a certified property failed on
-a verified map; the offending map is dumped in full).
+checked before any trial, and an --out or stdout write that fails after the
+trials, e.g. on a full disk), 3 falsification event (a certified property
+failed on a verified map; the offending map is dumped in full).
 
 The environment variable KOSZUL_PRIME_BITS (default 31, range 2..64) sets the
 bit size of the random evaluation fields used by the modular rank method: the
@@ -24,6 +24,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -370,11 +371,28 @@ def main(argv=None) -> int:
         with sink as handle:
             code, lines = runner(cfg)
             handle.write("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+            handle.flush()
     except OSError as exc:
-        if lines is None or not cfg.out:  # raised by a trial, or by a write to stdout
+        if lines is None:  # raised by a trial
             raise
-        cannot_write(exc)  # the write or the close failed, e.g. on a full disk
+        if cfg.out:
+            cannot_write(exc)  # the write or the close failed, e.g. on a full disk
+        _discard_stdout()
+        parser.exit(EXIT_USAGE, f"error: cannot write stdout: {exc.strerror or exc}\n")
     return code
+
+
+def _discard_stdout() -> None:
+    """Point the stdout file descriptor at the null device, so the flush at
+    interpreter shutdown drops what a failed write left buffered instead of
+    failing a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor behind sys.stdout, or it is closed
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -21,10 +21,10 @@ coefficient, updated through :func:`polynomials.add_into` and
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 from .chain_maps import ChainMap
 from .koszul import ComplexDescriptor, KElem, IndexSet
@@ -93,6 +93,14 @@ def _interval_counts(widths: list, limit: int) -> list[int]:
     return counts
 
 
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class FiltComplex:
     """Free graded complex over the polynomial ring with filtration and augmentation.
 
@@ -100,10 +108,13 @@ class FiltComplex:
     monomials agree around every cycle of entries, d is Z^n-graded: each
     generator gets a multidegree (``_multidegrees``) and every graded degree
     splits into small multidegree strands, on which d is the scalar matrix
-    ``_scalar_columns``.  ``homology_dims`` ranks strands instead of whole
-    degrees, and ``solve_diff`` solves in the one strand its right-hand side
-    lies in.  ``degree_piece`` writes one graded degree as sparse equations;
-    it is ranked and solved only for complexes that are not Z^n-graded, and
+    ``_scalar_columns``.  Which generators a strand holds is read from the
+    bitmasks of ``_admission``.  ``homology_dims`` ranks strand classes
+    instead of whole degrees, and counts the strands once per group of
+    classes that count their strands alike (``_strand_pieces``);
+    ``solve_diff`` solves in the one strand its right-hand side lies in.
+    ``degree_piece`` writes one graded degree as sparse equations; it is
+    ranked and solved only for complexes that are not Z^n-graded, and
     solved for right-hand sides that span several strands.
 
     An instance must not be mutated after construction: the multidegrees
@@ -250,9 +261,8 @@ class FiltComplex:
         the instance, so a later call ranks only degrees not seen before.
         """
         pieces = self._pieces
-        mdeg = self._multidegrees
-        if mdeg is not None and len(pieces) - 1 <= max_degree:
-            pieces.extend(self._strand_pieces(mdeg, len(pieces) - 1, max_degree))
+        if self._multidegrees is not None and len(pieces) - 1 <= max_degree:
+            pieces.extend(self._strand_pieces(len(pieces) - 1, max_degree))
         for degree in range(len(pieces) - 1, max_degree + 1):
             basis, equations = self.degree_piece(degree)
             # popping hands each row over to the elimination, so the rows and
@@ -302,6 +312,37 @@ class FiltComplex:
         return mdeg
 
     @cached_property
+    def _admission(self) -> tuple[list, dict]:
+        """Bitmasks of generators (bit g for generator g) that decide strand membership.
+
+        Returns (coordinates, by_height).  coordinates holds, per coordinate,
+        its cuts (the distinct exponents of the multidegrees, ascending, so
+        the first is 0) and per cut the mask of the generators whose exponent
+        is at most that cut; by_height maps each height deg g - t_degree *
+        |mdeg g| to the mask of its generators.  The strand of b admits the
+        AND, over the coordinates, of the mask of the largest cut <= b_i.
+        Only meaningful when ``_multidegrees`` is not None.
+        """
+        mdeg = self._multidegrees
+        coordinates = []
+        for exps in zip(*mdeg):
+            at: dict[int, int] = {}
+            for g, e in enumerate(exps):
+                at[e] = at.get(e, 0) | 1 << g
+            cuts = sorted(at)
+            masks, mask = [], 0
+            for cut in cuts:
+                mask |= at[cut]
+                masks.append(mask)
+            coordinates.append((cuts, masks))
+        td = self.char.t_degree
+        by_height: dict[int, int] = {}
+        for g, (gen, exps) in enumerate(zip(self.generators, mdeg)):
+            h = gen.degree - td * sum(exps)
+            by_height[h] = by_height.get(h, 0) | 1 << g
+        return coordinates, by_height
+
+    @cached_property
     def _scalar_columns(self) -> dict:
         """The scalar column of d at each generator of a Z^n-graded complex.
 
@@ -315,50 +356,72 @@ class FiltComplex:
             for col, entries in self.diff.items()
         }
 
-    def _strand_pieces(self, mdeg: list, lo: int, hi: int) -> list[tuple[int, int]]:
+    def _strand_pieces(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """(basis size, rank of d) of degrees lo..hi, summed over multidegree strands.
 
         The strand of b in N^n is spanned by t^(b - mdeg g) g over the
         generators g with mdeg g <= b; that element has degree
-        t_degree * |b| + height(g), with height(g) = deg g - t_degree * |mdeg g|,
-        and d acts on the strand by the scalar matrix of d.  Along one
-        coordinate, every b_i from one generator exponent up to the next
-        admits the same generators, so the strands fall into finitely many
-        classes.  A class is ranked once per height through ``field_rank``,
-        and its strands are counted per |b| by a product of interval
-        polynomials (stars and bars); classes starting beyond ``hi`` are
-        skipped.
+        t_degree * |b| + height(g), and d acts on the strand by the scalar
+        matrix of d.  Along one coordinate, every b_i from one cut (generator
+        exponent) up to the next admits the same generators, so the strands
+        fall into finitely many classes, each admitting the AND of one
+        ``_admission`` mask per coordinate.  A class is ranked once per
+        height through ``field_rank``; classes starting beyond ``hi`` are
+        skipped.  A class's strands with a given |b| = least + s number
+        ``_interval_counts(widths, ...)[s]``, a product of interval
+        polynomials (stars and bars) that depends only on the multiset of
+        its widths and on its least |b|.  So every class with the same sorted
+        widths, least |b| and height adds the same counts to the same
+        degrees: their basis sizes and ranks are summed first, exactly, and
+        the strands are counted once per such group.
         """
         td = self.char.t_degree
-        height = [gen.degree - td * sum(exps) for gen, exps in zip(self.generators, mdeg)]
+        coordinates, by_height = self._admission
         columns = self._scalar_columns
-        cuts = [sorted(set(exps)) for exps in zip(*mdeg)]
-        top = (hi - min(height)) // td  # no strand with a larger |b| reaches degree hi
         pieces = [[0, 0] for _ in range(lo, hi + 1)]
-        for choice in product(*(range(len(c)) for c in cuts)):
-            floor = [c[j] for c, j in zip(cuts, choice)]
-            gens = [g for g, exps in enumerate(mdeg) if all(e <= f for e, f in zip(exps, floor))]
-            least = sum(floor)
-            if not gens or td * least + min(height[g] for g in gens) > hi:
-                continue
-            widths = [c[j + 1] - c[j] if j + 1 < len(c) else None for c, j in zip(cuts, choice)]
-            counts = _interval_counts(widths, top - least)
-            by_height: dict[int, list] = {}
-            for g in gens:
-                by_height.setdefault(height[g], []).append(g)
-            for h, cols in by_height.items():
-                hits = [
-                    (degree - lo, count)
-                    for s, count in enumerate(counts)
-                    if count and lo <= (degree := td * (least + s) + h) <= hi
-                ]
-                if not hits:
+        lowest = min(by_height, default=0)
+        top = (hi - lowest) // td  # no strand with a larger |b| reaches degree hi
+
+        def span(widths: tuple, least: int, h: int) -> range:
+            """The s >= 0 whose strands, |b| = least + s at height h, land in
+            lo..hi and number more than 0."""
+            first = max(0, -((td * least + h - lo) // td))
+            last = (hi - h) // td - least
+            if 0 not in widths:  # every width bounded: counts[s] = 0 beyond sum(width - 1)
+                last = min(last, sum(widths) - len(widths))
+            return range(first, last + 1)
+
+        # (admitted generators, least |b|, widths) per class; an unbounded width is 0
+        classes = [((1 << len(self.generators)) - 1, 0, ())]
+        for cuts, masks in coordinates:
+            steps = [b - a for a, b in zip(cuts, cuts[1:])] + [0]
+            classes = [
+                (admitted & mask, least + cut, widths + (width,))
+                for admitted, least, widths in classes
+                for cut, mask, width in zip(cuts, masks, steps)
+                if admitted & mask and td * (least + cut) + lowest <= hi
+            ]
+        groups: dict[tuple, list] = {}  # (sorted widths, least, height) -> [size, rank]
+        for admitted, least, widths in classes:
+            widths = tuple(sorted(widths))
+            for h, mask in by_height.items():
+                cols = admitted & mask
+                if not cols or not span(widths, least, h):
                     continue
-                vectors = [columns[g] for g in cols if g in columns]
-                rank = field_rank(vectors, self.char) if vectors else 0
-                for i, count in hits:
-                    pieces[i][0] += count * len(cols)
-                    pieces[i][1] += count * rank
+                vectors = [columns[g] for g in _bits(cols) if g in columns]
+                group = groups.setdefault((widths, least, h), [0, 0])
+                group[0] += cols.bit_count()
+                group[1] += field_rank(vectors, self.char) if vectors else 0
+        counted: dict[tuple, list] = {}
+        for (widths, least, h), (size, rank) in groups.items():
+            counts = counted.get((widths, least))
+            if counts is None:
+                unbounded = [width or None for width in widths]
+                counts = counted[widths, least] = _interval_counts(unbounded, top - least)
+            for s in span(widths, least, h):
+                piece = pieces[td * (least + s) + h - lo]
+                piece[0] += counts[s] * size
+                piece[1] += counts[s] * rank
         return [tuple(piece) for piece in pieces]
 
     def solve_diff(self, degree: int, rhs: dict, augment_to=None) -> dict | None:
@@ -440,19 +503,19 @@ class FiltComplex:
         """The equations d(x) = rhs within the strand of multidegree b, which holds rhs.
 
         Returns what ``_degree_system`` does.  The unknowns are the
-        generators g with mdeg g <= b in this degree, each standing for the
-        coordinate t^(b - mdeg g) g; the equations are the scalar columns of
-        d, indexed by row generator.  A strand holds each generator at most
-        once, so each generator of rhs has one term here.
+        generators g with mdeg g <= b in this degree, read from ``_admission``
+        in increasing g, each standing for the coordinate t^(b - mdeg g) g;
+        the equations are the scalar columns of d, indexed by row generator.
+        A strand holds each generator at most once, so each generator of rhs
+        has one term here.
         """
         mdeg = self._multidegrees
-        td = self.char.t_degree
-        height = degree - td * sum(b)  # deg g - td |mdeg g| of every unknown g
-        coordinates = {
-            g: (tuple(f - e for f, e in zip(b, exps)), g)
-            for g, (gen, exps) in enumerate(zip(self.generators, mdeg))
-            if gen.degree - td * sum(exps) == height and all(e <= f for e, f in zip(exps, b))
-        }
+        cuts_masks, by_height = self._admission
+        # every unknown g has height deg g - td |mdeg g| = degree - td |b|
+        admitted = by_height.get(degree - self.char.t_degree * sum(b), 0)
+        for (cuts, masks), f in zip(cuts_masks, b):
+            admitted &= masks[bisect_right(cuts, f) - 1]
+        coordinates = {g: (tuple(f - e for f, e in zip(b, mdeg[g])), g) for g in _bits(admitted)}
         equations: dict = {}  # row generator -> its row over the unknowns
         for g in coordinates:
             for row, coeff in self._scalar_columns.get(g, {}).items():

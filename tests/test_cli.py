@@ -223,7 +223,7 @@ def test_stdout_output(capsys):
     assert json.loads(captured.splitlines()[0])["passed"]
 
 
-def _run_subprocess(args, prime_bits=None):
+def _run_subprocess(args, prime_bits=None, stdout=subprocess.PIPE):
     """Run ``python -m koszulrank`` on this checkout; a hang fails by timeout."""
     env = {k: v for k, v in os.environ.items() if k != "KOSZUL_PRIME_BITS"}
     src = str(Path(koszulrank.__file__).resolve().parent.parent)
@@ -232,7 +232,7 @@ def _run_subprocess(args, prime_bits=None):
         env["KOSZUL_PRIME_BITS"] = prime_bits
     return subprocess.run(
         [sys.executable, "-m", "koszulrank", *args],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -324,3 +324,15 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
     assert info.value.code == EXIT_USAGE
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and str(out) in line
+
+
+def test_failed_stdout_write_is_a_usage_error():
+    full = Path("/dev/full")  # opens, but every write fails
+    if not full.exists():
+        pytest.skip("no /dev/full on this system")
+    with full.open("w") as stdout:
+        result = _run_subprocess(["certify", "--n", "2", "--trials", "1"], stdout=stdout)
+    assert result.returncode == EXIT_USAGE
+    # one line: no traceback, and no second report from the flush at shutdown
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: cannot write stdout:")

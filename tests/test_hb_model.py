@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -26,7 +27,7 @@ from koszulrank.hb_model import (
     verify_beta,
     verify_filtration,
 )
-from koszulrank.koszul import ComplexDescriptor
+from koszulrank.koszul import ComplexDescriptor, faces
 from koszulrank.polynomials import Char, Poly, add_into
 
 
@@ -195,6 +196,41 @@ def _eliminated_dims(c: FiltComplex, max_degree: int, monkeypatch) -> dict:
     return _without_strands(c, lambda copy: copy.homology_dims(max_degree), monkeypatch)
 
 
+def _monomial_koszul_complex(monomials, char) -> FiltComplex:
+    """The Koszul complex of a sequence of monomials f_1, ..., f_k (exponent tuples).
+
+    s_I has degree sum_(i in I) (t_degree |f_i| - 1) and level |I|, and
+    d(s_I) = sum_j (-1)^j f_(I_j) s_(I without I_j), so the multidegree of
+    s_I is sum_(i in I) f_i: its coordinates take uneven steps and many cuts.
+    """
+    nvars, td = len(monomials[0]), char.t_degree
+    k = len(monomials)
+    index_sets = [s for size in range(k + 1) for s in combinations(range(1, k + 1), size)]
+    position = {s: i for i, s in enumerate(index_sets)}
+    gens = [
+        Generator(f"s{list(s)}", sum(td * sum(monomials[i - 1]) - 1 for i in s), len(s))
+        for s in index_sets
+    ]
+    diff = {}
+    for s in index_sets:
+        entries = []
+        for face, i, odd in faces(s):
+            f = Poly.monomial(nvars, char, monomials[i])
+            entries.append((position[face], -f if odd else f))
+        diff[position[s]] = entries
+    return FiltComplex(nvars, char, gens, diff, [1] + [0] * (len(index_sets) - 1))
+
+
+# sequences whose multidegree coordinates have three or more cuts and uneven
+# widths, so classes with equal least |b| and height count their strands differently
+MONOMIAL_SEQUENCES = [
+    [(1, 1), (0, 3), (2, 0)],  # t1 t2, t2^3, t1^2
+    [(1, 0), (0, 2), (3, 1)],  # t1, t2^2, t1^3 t2
+    [(2, 0, 1), (0, 1, 2), (1, 3, 0), (0, 0, 1)],
+    [(1, 2, 0), (3, 0, 0), (0, 1, 1)],
+]
+
+
 def _homology_fixtures(char):
     rng = random.Random(11)
     koszul = [
@@ -207,6 +243,7 @@ def _homology_fixtures(char):
         + [shuffled_complex(c, rng)[0] for c in koszul]
         + [rank_two_model(m, char) for m in range(3)]
         + [twisted_two_var_model(char), _degree_minus_one_complex(char)]
+        + [_monomial_koszul_complex(monomials, char) for monomials in MONOMIAL_SEQUENCES]
     )
 
 

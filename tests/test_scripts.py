@@ -63,9 +63,11 @@ def test_bench_records_micro_timings(tmp_path, monkeypatch):
     for entry in fields.values():
         assert entry["rank"] == 256 and entry["mul_ns"] > 0 and entry["reduce_s"] > 0
     homology = record["micro"]["homology"]
-    assert (homology["n"], homology["m"]) == (4, 1)
+    assert (homology["n"], homology["m"], homology["koszul_n"]) == (4, 1, 10)
     assert {char: entry["max_degree"] for char, entry in homology["chars"].items()} == {"0": 24, "2": 12}
-    assert all(entry["homology_s"] > 0 and entry["elimination_s"] > 0 for entry in homology["chars"].values())
+    for entry in homology["chars"].values():
+        assert set(entry) == {"max_degree", "homology_s", "elimination_s", "koszul_s"}
+        assert entry["homology_s"] > 0 and entry["elimination_s"] > 0 and entry["koszul_s"] > 0
     lift = record["micro"]["lift"]
     assert (lift["n"], lift["m"]) == (4, 1) and set(lift["chars"]) == {"0", "2"}
     for entry in lift["chars"].values():
