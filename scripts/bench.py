@@ -7,13 +7,16 @@ for the benchmark's own run length), and the median of each metric over the runs
 (another checkout, such as the parent commit's) the runs alternate between
 that checkout and this one, each side going first in every other pair, and
 the record also holds the baseline medians, each metric's median change and
-how many of the pairs this checkout won.
+how many of the pairs this checkout won.  Both sides run under the same
+bytecode condition, the one of a fresh checkout: ``PYTHONDONTWRITEBYTECODE=1``
+and an empty ``PYTHONPYCACHEPREFIX`` directory per run, so every run
+compiles koszulrank from source and none reads bytecode another run wrote.
 
 Layer micro-timings run in this process on fixed seeded inputs: one fully
 graded n=8 bound matrix per characteristic, evaluated once in each field
 (F_p at a 31-bit prime; GF(2^16), GF(2^32) and GF(2^64)).  ``mul`` over the
-evaluated entries and ``_reduce`` of the evaluated rows are timed
-``REPEAT`` times each, and the medians are kept.  ``homology_dims`` is timed
+evaluated entries and ``point_rank`` of the evaluated rows (the CLI's rank
+path) are timed ``REPEAT`` times each, and the medians are kept.  ``homology_dims`` is timed
 per characteristic up to the default truncation for m=1 on two n=4
 complexes: a shuffled level-0 Koszul complex, the ``lift`` workload's middle
 complex, which is ranked strand by strand (``homology_s``), and the Koszul
@@ -54,6 +57,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -68,7 +72,7 @@ from koszulrank.hb_model import (
     shuffled_complex,
 )
 from koszulrank.koszul import ComplexDescriptor, truncated_homology_dim
-from koszulrank.linalg import PrimeField, _reduce, bareiss_rank, gf2_field, random_prime
+from koszulrank.linalg import PrimeField, bareiss_rank, gf2_field, point_rank, random_prime
 from koszulrank.polynomials import Char, power_tables
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,6 +94,8 @@ DRAW_CELLS = {  # (n, m, char, grading) of the cli workload's cells
     "cancel-f2-m2": (9, 2, Char.TWO, None),
 }
 DRAW_SEEDS = 20
+# the environment of every benchmark run, plus a fresh empty PYTHONPYCACHEPREFIX
+BYTECODE = {"PYTHONDONTWRITEBYTECODE": "1"}
 BOUND_NS = (8, 9)
 
 
@@ -103,9 +109,12 @@ def commit_of(checkout: Path) -> dict:
 
 
 def run_benchmark(checkout: Path) -> dict:
-    """Metrics of one ``perfbench/run.py --workload all`` run of a checkout."""
+    """Metrics of one ``perfbench/run.py --workload all`` run of a checkout,
+    compiled from source (see ``BYTECODE``)."""
     argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "all"]
-    proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as pycache:
+        env = {**os.environ, **BYTECODE, "PYTHONPYCACHEPREFIX": pycache}
+        proc = subprocess.run(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}")
@@ -133,7 +142,12 @@ def end_to_end(runs: int, baseline: Path | None) -> dict:
         if baseline is not None and k % 2 == 1:
             theirs.append(run_benchmark(baseline))
         print(f"run {k + 1}/{runs} done", file=sys.stderr, flush=True)
-    record = {"runs": runs, "medians": medians(ours), "per_run": ours}
+    record = {
+        "runs": runs,
+        "environment": {**BYTECODE, "PYTHONPYCACHEPREFIX": "a fresh empty directory per run"},
+        "medians": medians(ours),
+        "per_run": ours,
+    }
     if baseline is not None:
         base = medians(theirs)
         wins = {}
@@ -162,7 +176,7 @@ def _timed(fn, repeat: int) -> float:
 
 
 def micro(repeat: int) -> dict:
-    """Per-field ``mul`` and ``_reduce`` timings on fixed evaluated n=8 bound matrices."""
+    """Per-field ``mul`` and ``point_rank`` timings on fixed evaluated n=8 bound matrices."""
     rng = random.Random(MICRO_SEED)
     out = {}
     for char in (Char.ZERO, Char.TWO):
@@ -178,7 +192,6 @@ def micro(repeat: int) -> dict:
             pows = power_tables(point, max_exp, field.mul)
             rows = [{j: v for j, e in enumerate(row) if e.terms and (v := field.evaluate(e, pows))}
                     for row in matrix]
-            rows.sort(key=len)
             values = [v for row in rows for v in row.values()]
             pairs = list(zip(values, reversed(values)))
 
@@ -188,9 +201,9 @@ def micro(repeat: int) -> dict:
 
             out[name] = {
                 "entries": len(values),
-                "rank": len(_reduce(rows, field)),
+                "rank": point_rank(rows, field),
                 "mul_ns": _timed(muls, repeat) / len(pairs) * 1e9,
-                "reduce_s": _timed(lambda: _reduce(rows, field), repeat),
+                "rank_s": _timed(lambda: point_rank(rows, field), repeat),
             }
     return out
 

@@ -33,6 +33,10 @@ def main() -> int:
         parser.exit(2, f"error: --max-n must be at most {MAX_N}\n")
     if any(m < 0 for m in args.m):
         parser.error("--m must be non-negative")
+    if args.max_n < 2:  # the sweep starts at n = 2
+        parser.exit(2, "error: --max-n must be at least 2\n")
+    if not args.m:
+        parser.exit(2, "error: --m needs at least one level\n")
 
     header = f"{'n':>2} {'m':>2} {'char':>4} {'grading':>8} {'min rank':>9} {'improved':>9} {'classical':>10}"
     print(header)

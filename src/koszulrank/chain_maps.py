@@ -720,36 +720,17 @@ def random_homotopy(
     Each nonempty index set receives at most ``max_terms`` random monomial
     summands with coefficients +-1 (always 1 in characteristic 2); small
     supports keep exact rank computations tractable.  Every draw is made
-    here, in index-set order, and kept as the homotopy's ``draws``; each
+    here, in index-set order and in one pass (:meth:`koszul._Drawer.terms`,
+    from the tables of :func:`_term_tables`), and kept as the homotopy's
+    ``draws``; each
     value is built when first read (see :class:`_LazyImages`) by summing its
     index set's drawn terms through :func:`add_into`, and is a zero element
     where nothing was drawn.
     """
-    draw = _Drawer(rng)
-    randint, choice, sample, monomial = draw.randint, draw.choice, draw.sample, draw.monomial
     n = source.nvars
-    two = source.char is Char.TWO
-    population = range(1, n + 1)
     tables = [_term_tables(source, source.s_degree * k, grading) for k in range(n + 1)]
-    draws: dict[IndexSet, list[tuple]] = {}
-    for indices in source.index_sets():
-        if not indices:
-            continue
-        count = randint(0, max_terms)
-        table = tables[len(indices)]
-        if table is None or not count:
-            continue
-        sizes, tdegs = table
-        terms = []
-        for _ in range(count):
-            if tdegs is None:
-                size, tdeg = choice(sizes)
-            else:
-                size = choice(sizes)
-                tdeg = choice(tdegs)
-            jset = tuple(sorted(sample(population, size)))
-            terms.append((jset, monomial(n, tdeg), 1 if two else choice((1, -1))))
-        draws[indices] = terms
+    slots = [(indices, tables[len(indices)]) for indices in source.index_sets() if indices]
+    draws: dict[IndexSet, list[tuple]] = _Drawer(rng).terms(slots, max_terms, n, source.char is not Char.TWO)
     target = ComplexDescriptor(n, 0, source.char)
 
     def build(indices: IndexSet) -> KElem:

@@ -59,9 +59,10 @@ EXIT_USAGE = 2
 EXIT_FALSIFICATION = 3
 
 # Largest --n: a complex has 2^n basis elements, and one trial at n = 12
-# takes up to about 45 s (certify in characteristic 2) on 2 shared cores
-# with CPython 3.11, several times what n = 11 takes; a larger n would run
-# for minutes to hours per trial, so it is a usage error, not a hang.
+# takes about 20 s (certify in characteristic 2; 8 s in characteristic 0)
+# on 2 shared cores with CPython 3.11, several times what n = 11 takes; a
+# larger n would run for minutes to hours per trial, so it is a usage
+# error, not a hang.
 MAX_N = 12
 
 

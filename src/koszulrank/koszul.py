@@ -307,8 +307,9 @@ class _Drawer:
     Every draw is :meth:`below`, a copy of CPython's
     ``Random._randbelow_with_getrandbits`` (unchanged from 3.10 through 3.13
     for k > 0): take ``k.bit_length()`` bits from ``rng.getrandbits`` and
-    draw again while the value is k or more.  The loops of :meth:`sample`
-    and :meth:`monomial`, which make most of a homotopy's draws, inline it.
+    draw again while the value is k or more.  The loops of :meth:`sample`,
+    :meth:`monomial` and :meth:`terms`, which makes a homotopy's draws,
+    inline it.
     ``below(k)`` is ``randrange(k)``, and ``randint(a, b)`` is
     ``a + below(b - a + 1)``.
     :meth:`sample` takes CPython's two branches, the pool below its
@@ -387,6 +388,81 @@ class _Drawer:
                 j = getrandbits(bits)
             exps[j] += 1
         return tuple(exps)
+
+
+    def terms(self, slots, max_terms: int, nvars: int, signed: bool) -> dict:
+        """A homotopy's random terms in one pass: key -> [(jset, monomial, sign), ...].
+
+        Per ``(key, (sizes, tdegs) or None)`` slot: ``count = randint(0,
+        max_terms)``, then unless the table is None, ``count`` terms of
+        ``choice(sizes)`` (a (size, tdeg) pair when ``tdegs`` is None, else
+        the size, then ``choice(tdegs)``), ``sorted(sample(range(1, nvars +
+        1), size))``, ``monomial(nvars, tdeg)`` and, when ``signed``,
+        ``choice((1, -1))``.  Keys without terms are left out.  :meth:`below`
+        is inlined on bit widths taken once; a population above 21, which
+        CPython may sample by its set branch, goes through :meth:`sample`.
+        """
+        if max_terms < 0:
+            raise ValueError(f"negative term cap {max_terms}")
+        getrandbits = self.getrandbits
+        widths = [k.bit_length() for k in range(nvars + 1)]
+        population = list(range(1, nvars + 1))
+        pooled = nvars <= 21  # CPython's setsize is at least 21: always the pool branch
+        cbits = (max_terms + 1).bit_length()
+        draws: dict = {}
+        for key, table in slots:
+            count = getrandbits(cbits)
+            while count > max_terms:
+                count = getrandbits(cbits)
+            if table is None or not count:
+                continue
+            sizes, tdegs = table
+            nsizes = len(sizes)
+            sbits = nsizes.bit_length()
+            if tdegs is not None:
+                ntdegs = len(tdegs)
+                tbits = ntdegs.bit_length()
+            terms = draws[key] = []
+            for _ in range(count):
+                j = getrandbits(sbits)
+                while j >= nsizes:
+                    j = getrandbits(sbits)
+                if tdegs is None:
+                    size, tdeg = sizes[j]
+                else:
+                    size = sizes[j]
+                    j = getrandbits(tbits)
+                    while j >= ntdegs:
+                        j = getrandbits(tbits)
+                    tdeg = tdegs[j]
+                if pooled:
+                    pool = population[:]
+                    jset = []
+                    for left in range(nvars, nvars - size, -1):
+                        bits = widths[left]
+                        j = getrandbits(bits)
+                        while j >= left:
+                            j = getrandbits(bits)
+                        jset.append(pool[j])
+                        pool[j] = pool[left - 1]
+                else:
+                    jset = self.sample(population, size)
+                jset.sort()
+                exps = [0] * nvars
+                bits = widths[nvars]
+                for _ in range(tdeg):
+                    j = getrandbits(bits)
+                    while j >= nvars:
+                        j = getrandbits(bits)
+                    exps[j] += 1
+                sign = 1
+                if signed:
+                    j = getrandbits(2)
+                    while j >= 2:
+                        j = getrandbits(2)
+                    sign = -1 if j else 1
+                terms.append((tuple(jset), tuple(exps), sign))
+        return draws
 
 
 def random_kelem(desc: ComplexDescriptor, rng, max_terms: int = 4, max_exp: int = 2) -> KElem:

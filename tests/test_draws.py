@@ -16,6 +16,7 @@ import pytest
 
 from koszulrank.cancellation import random_coeffs
 from koszulrank.chain_maps import GradingMode, random_homotopy
+from koszulrank.cli import MAX_N
 from koszulrank.koszul import (
     ComplexDescriptor,
     KElem,
@@ -152,6 +153,39 @@ def test_homotopy_draws_match_random_py(n):
         h = random_homotopy(source, ours, grading=grading)
         assert h.draws == reference_homotopy_draws(source, theirs, grading), (m, char, grading, seed)
         assert ours.getstate() == theirs.getstate(), (m, char, grading, seed)
+
+
+@pytest.mark.parametrize("n", range(10, MAX_N + 1))
+def test_homotopy_draws_match_random_py_up_to_the_cli_maximum(n):
+    # one seed per (char, grading); the level cycles through 0, 1 and 2
+    for k, (char, grading) in enumerate(product((Char.ZERO, Char.TWO), GRADINGS)):
+        source = ComplexDescriptor(n, k % 3, char)
+        ours, theirs = _twins(k)
+        h = random_homotopy(source, ours, grading=grading)
+        assert h.draws == reference_homotopy_draws(source, theirs, grading), (char, grading)
+        assert ours.getstate() == theirs.getstate(), (char, grading)
+
+
+def test_term_draws_above_the_pool_threshold_match_random_py():
+    # populations above 21 take CPython's sample branches through _Drawer.sample
+    for nvars, seed in product((22, 40, 90), SEEDS):
+        ours, theirs = _twins(seed)
+        tables = [(range(nvars + 1), range(4)), ([(k, 2) for k in range(0, nvars + 1, 3)], None), None]
+        slots = [(k, tables[k % 3]) for k in range(12)]
+        draws = _Drawer(ours).terms(slots, 3, nvars, signed=True)
+        expected = {}
+        for key, table in slots:
+            count = theirs.randint(0, 3)
+            if table is None or not count:
+                continue
+            sizes, tdegs = table
+            terms = expected[key] = []
+            for _ in range(count):
+                size, tdeg = theirs.choice(sizes) if tdegs is None else (theirs.choice(sizes), theirs.choice(tdegs))
+                jset = tuple(sorted(theirs.sample(range(1, nvars + 1), size)))
+                terms.append((jset, reference_random_monomial(theirs, nvars, tdeg), theirs.choice((1, -1))))
+        assert draws == expected, (nvars, seed)
+        assert ours.getstate() == theirs.getstate(), (nvars, seed)
 
 
 @pytest.mark.parametrize("max_terms", [0, 1, 5])

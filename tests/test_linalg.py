@@ -12,6 +12,7 @@ import pytest
 from koszulrank import linalg
 from koszulrank.linalg import (
     GF2Log,
+    GF2TableTower,
     GF2Tower,
     PrimeField,
     Rationals,
@@ -23,6 +24,7 @@ from koszulrank.linalg import (
     field_rank,
     gf2_field,
     kernel_vector,
+    point_rank,
     random_prime,
     solve_linear,
 )
@@ -160,6 +162,9 @@ def test_gf2_16_log_exp_round_trip():
     assert sorted(field.exp[: q - 1]) == list(range(1, q))  # the generator is primitive
     assert all(field.exp[field.log[a]] == a for a in range(1, q))
     assert field.exp[q - 1 : 2 * (q - 1)] == field.exp[: q - 1]
+    # the sentinel log of 0 reads a zero plus any log, as the tower's update needs
+    assert field.log[0] == 2 * (q - 1) and len(field.exp) == 3 * (q - 1)
+    assert not any(field.exp[2 * (q - 1) :])
 
 
 # the moduli the bit-serial GF(2^k) arithmetic used before the log tables
@@ -192,30 +197,114 @@ def test_gf2_towers():
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(2**31 - 1), *map(gf2_field, (3, 16, 32, 64))],
                          ids=["Q", "F_p", "GF(2^3)", "GF(2^16)", "GF(2^32)", "GF(2^64)"])
 def test_axpy_is_row_minus_f_times_pivot(field):
-    """The row update of every field, also on tower elements with a zero or
-    repeated half, which take the fallback branches."""
+    """The row update of every field: ``Rationals.axpy`` on the dict rows of
+    ``_reduce``, and the evaluation fields' ``update`` of a pivot row that
+    their ``pivot`` hook prepared from a dense row, as ``point_rank`` runs
+    them.  Tower elements with a zero or repeated half take the sentinel
+    logs and, as the factor f, the fallback branch."""
     rng = random.Random(5)
-    char2 = not isinstance(field, (Rationals, PrimeField))
-    if char2:
+    if isinstance(field, Rationals):
+        elements = [rng.choice((1, -1, 2, Fraction(1, 3))) for _ in range(40)]
+        for f in elements[:8]:
+            pivot = {c: rng.choice(elements) for c in rng.sample(range(30), 15)}
+            row = {c: rng.choice(elements) for c in rng.sample(range(30), 15)}
+            for c in rng.sample(sorted(pivot), 3):  # entries that cancel
+                row[c] = f * pivot[c]
+            expected = {c: v for c in {*row, *pivot} if (v := row.get(c, 0) - f * pivot.get(c, 0))}
+            field.axpy(row, f, pivot)
+            assert row == expected
+        return
+    if isinstance(field, PrimeField):
+        p = field.prime
+        elements = [rng.randrange(1, p) for _ in range(40)]
+        sub = lambda a, b: (a - b) % p  # noqa: E731
+        unreduced = lambda v: v + rng.randint(-3, 3) * p  # noqa: E731  (as point_rank's rows accumulate)
+    else:
         h = field.bits // 2
         special = [1, 1 << h, (1 << h) | 1, ((1 << h) - 1) * ((1 << h) + 1)]
         elements = special + [field.random_nonzero(rng) for _ in range(40)]
         sub = operator.xor
-    else:
-        elements = [rng.choice((1, -1, 2, Fraction(1, 3))) if isinstance(field, Rationals)
-                    else rng.randrange(1, field.prime) for _ in range(40)]
-        sub = operator.sub if isinstance(field, Rationals) else (lambda a, b: (a - b) % field.prime)
+        unreduced = lambda v: v  # noqa: E731
     for f in elements[:8]:
-        pivot = {c: rng.choice(elements) for c in rng.sample(range(30), 15)}
-        row = {c: rng.choice(elements) for c in rng.sample(range(30), 15)}
-        for c in rng.sample(sorted(pivot), 3):  # entries that cancel
-            row[c] = field.mul(f, pivot[c])
-        expected = dict(row)
-        for c, v in pivot.items():
-            expected[c] = sub(expected.get(c, 0), field.mul(f, v))
-        expected = {c: v for c, v in expected.items() if v}
-        field.axpy(row, f, pivot)
-        assert row == expected
+        lead = rng.randrange(6)
+        prow = [0] * 30
+        for c in rng.sample(range(30), 15):
+            prow[c] = rng.choice(elements)
+        acc = [0] * 30
+        for c in rng.sample(range(30), 15):
+            acc[c] = rng.choice(elements)
+        for c in rng.sample([c for c in range(lead + 1, 30) if prow[c]], 3):  # entries that cancel
+            acc[c] = field.mul(f, prow[c])
+        expected = [sub(a, field.mul(f, v)) if c > lead else a for c, (a, v) in enumerate(zip(acc, prow))]
+        prepared = field.pivot([unreduced(v) for v in prow], lead)
+        field.update(acc, f, prepared)
+        assert [v % field.order for v in acc] == expected
+
+
+def _dense_rank(rows, field) -> int:
+    """Rank of sparse rows by plain dense Gauss-Jordan elimination with the
+    field's own operations: the oracle for ``point_rank``."""
+    cols = sorted({c for row in rows for c in row})
+    matrix = [[row.get(c, 0) for c in cols] for row in rows]
+    rank = 0
+    for j in range(len(cols)):
+        pivot = next((i for i in range(rank, len(matrix)) if matrix[i][j]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        scale = field.inv(matrix[rank][j])
+        matrix[rank] = [field.mul(scale, v) for v in matrix[rank]]
+        for i in range(len(matrix)):
+            if i != rank and matrix[i][j]:
+                f = field.neg(matrix[i][j])
+                matrix[i] = [field.add(a, field.mul(f, b)) for a, b in zip(matrix[i], matrix[rank])]
+        rank += 1
+    return rank
+
+
+POINT_RANK_FIELDS = {
+    "F_2": PrimeField(2), "F_3": PrimeField(3), "F_7": PrimeField(7), "F_p(31)": PrimeField(2**31 - 1),
+    "F_p(64)": PrimeField(2**64 - 59), "GF(2^2)": 2, "GF(2^8)": 8, "GF(2^16)": 16, "GF(2^32)": 32, "GF(2^64)": 64,
+}
+
+
+@pytest.mark.parametrize("name", POINT_RANK_FIELDS)
+def test_point_rank_matches_dense_elimination(name):
+    field = POINT_RANK_FIELDS[name]
+    if isinstance(field, int):
+        field = gf2_field(field)
+        assert type(field) is {2: GF2Log, 8: GF2Log, 16: GF2Log, 32: GF2TableTower, 64: GF2Tower}[field.bits]
+        h = field.bits // 2
+        elements = [1, 1 << h, (1 << h) | 1, field.order - 1]  # tower halves zero or repeated
+    else:
+        elements = [1, field.prime - 1]
+    rng = random.Random(sum(map(ord, name)))
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 14), rng.randint(1, 14)
+        keys = rng.sample(range(1000), ncols)  # column keys need not be 0..ncols-1
+        density = rng.random()
+        rows = [
+            {c: rng.choice(elements) if rng.random() < 0.2 else field.random_nonzero(rng)
+             for c in keys if rng.random() < density}
+            for _ in range(nrows)
+        ]
+        rows.append({})  # an empty row
+        for _ in range(rng.randint(0, 3)):  # planted dependencies: a*r + b*s, scaled copies and their sum
+            r, s = rng.choice(rows), rng.choice(rows)
+            a, b = field.random_nonzero(rng), rng.choice((0, field.random_nonzero(rng)))
+            combo = {c: field.add(field.mul(a, r.get(c, 0)), field.mul(b, s.get(c, 0))) for c in {*r, *s}}
+            rows.append({c: v for c, v in combo.items() if v})
+        if rows[0]:  # an exact cancellation: a row that differs from a multiple of row 0 in one entry only
+            f = field.random_nonzero(rng)
+            near = {c: field.mul(f, v) for c, v in rows[0].items()}
+            near[rng.choice(keys)] = field.random_nonzero(rng)
+            rows.append(near)
+        rng.shuffle(rows)
+        rank = _dense_rank(rows, field)
+        assert point_rank(rows, field) == rank, (name, trial)
+        for upper in (1, rank, rank + 1, max(rank - 1, 1)):  # early exit once upper pivots are found
+            assert point_rank(rows, field, upper) == min(rank, upper), (name, trial, upper)
+    assert point_rank([], field) == point_rank([{}, {}], field, 3) == 0
 
 
 @pytest.mark.parametrize("bits, level", [(2, 2), (16, 16), (17, 32), (31, 32), (32, 32), (33, 64), (64, 64)])

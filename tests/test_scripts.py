@@ -49,6 +49,13 @@ def test_script_bad_flag_is_a_usage_error(argv):
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize("flags", [["--max-n", "1"], ["--max-n", "0"], ["--max-n", "-3"], ["--max-n", "3", "--m"]])
+def test_rank_sweep_refuses_an_empty_sweep(flags):
+    result = _run(["scripts/rank_sweep.py", *flags, "--trials", "1"])
+    assert result.returncode == 2 and not result.stdout
+    assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1, result.stderr
+
+
 def test_bench_records_micro_timings(tmp_path, monkeypatch):
     script = _load_script("bench")
     monkeypatch.setattr(script, "REPEAT", 1)
@@ -61,7 +68,7 @@ def test_bench_records_micro_timings(tmp_path, monkeypatch):
     fields = record["micro"]["fields"]
     assert set(fields) == {"F_p(31 bits)", "GF(2^16)", "GF(2^32)", "GF(2^64)"}
     for entry in fields.values():
-        assert entry["rank"] == 256 and entry["mul_ns"] > 0 and entry["reduce_s"] > 0
+        assert entry["rank"] == 256 and entry["mul_ns"] > 0 and entry["rank_s"] > 0
     homology = record["micro"]["homology"]
     assert (homology["n"], homology["m"], homology["koszul_n"]) == (4, 1, 10)
     assert {char: entry["max_degree"] for char, entry in homology["chars"].items()} == {"0": 24, "2": 12}
