@@ -15,8 +15,10 @@ compiles koszulrank from source and none reads bytecode another run wrote.
 Layer micro-timings run in this process on fixed seeded inputs: one fully
 graded n=8 bound matrix per characteristic, evaluated once in each field
 (F_p at a 31-bit prime; GF(2^16), GF(2^32) and GF(2^64)).  ``mul`` over the
-evaluated entries and ``point_rank`` of the evaluated rows (the CLI's rank
-path) are timed ``REPEAT`` times each, and the medians are kept.  ``homology_dims`` is timed
+evaluated entries, the field's ``evaluate`` of each nonzero polynomial entry
+at the point (``eval_ns``, per entry) and ``point_rank`` of the evaluated
+rows (the CLI's rank path) are timed ``REPEAT`` times each, and the medians
+are kept.  ``homology_dims`` is timed
 per characteristic up to the default truncation for m=1 on two n=4
 complexes: a shuffled level-0 Koszul complex, the ``lift`` workload's middle
 complex, which is ranked strand by strand (``homology_s``), and the Koszul
@@ -176,13 +178,14 @@ def _timed(fn, repeat: int) -> float:
 
 
 def micro(repeat: int) -> dict:
-    """Per-field ``mul`` and ``point_rank`` timings on fixed evaluated n=8 bound matrices."""
+    """Per-field ``mul``, ``evaluate`` and ``point_rank`` timings on fixed n=8 bound matrices."""
     rng = random.Random(MICRO_SEED)
     out = {}
     for char in (Char.ZERO, Char.TWO):
         g = random_chain_map(MICRO_N, 1, char, rng, grading=GradingMode.FULL)
         matrix = matrix_of_images(g.target, [g.images[i] for i in g.source.index_sets()])
         max_exp = [max(exps) for exps in zip(*(m for row in matrix for e in row for m in e.terms))]
+        polys = [e for row in matrix for e in row if e.terms]
         if char is Char.ZERO:
             fields = {"F_p(31 bits)": PrimeField(random_prime(31, rng))}
         else:
@@ -199,10 +202,15 @@ def micro(repeat: int) -> dict:
                 for a, b in pairs:
                     mul(a, b)
 
+            def evals(evaluate=field.evaluate, pows=pows):
+                for e in polys:
+                    evaluate(e, pows)
+
             out[name] = {
                 "entries": len(values),
                 "rank": point_rank(rows, field),
                 "mul_ns": _timed(muls, repeat) / len(pairs) * 1e9,
+                "eval_ns": _timed(evals, repeat) / len(polys) * 1e9,
                 "rank_s": _timed(lambda: point_rank(rows, field), repeat),
             }
     return out

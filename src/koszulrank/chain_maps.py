@@ -35,7 +35,7 @@ from collections.abc import Mapping, Sequence
 from itertools import combinations
 
 from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, _Drawer, faces
-from .linalg import _rank_and_kernel, bareiss_rank, point_rank, rank_at_points
+from .linalg import DEFAULT_BITS, _rank_and_kernel, bareiss_rank, point_rank, rank_at_points
 from .linalg import evaluation_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
 from .polynomials import Char, Poly, add_into, add_scaled, power_tables
 
@@ -71,7 +71,7 @@ class RankMethod(Enum):
 
 
 def prime_bits() -> int:
-    """Bit size for modular evaluation fields (env KOSZUL_PRIME_BITS, default 31).
+    """Bit size for modular evaluation fields (env KOSZUL_PRIME_BITS, else DEFAULT_BITS).
 
     In characteristic 0 it is the bit length of the random prime; in
     characteristic 2 it picks the field of ``linalg.gf2_field``.  Raises
@@ -79,7 +79,7 @@ def prime_bits() -> int:
     single bit, and much wider fields make the prime search take minutes
     without making a deficient answer noticeably less likely.
     """
-    text = os.environ.get("KOSZUL_PRIME_BITS", "31")
+    text = os.environ.get("KOSZUL_PRIME_BITS", str(DEFAULT_BITS))
     try:
         bits = int(text)
     except ValueError:
@@ -563,36 +563,16 @@ def _scatter(columns, row_of: dict) -> list[dict]:
     return rows
 
 
-def _point_rank(g: ChainMap, generators: Sequence[KElem] | None, upper: int):
-    """``rank_at(field, point)`` for :func:`linalg.rank_at_points`: the rank
-    of the map's columns at the point.  When all 2^n columns are ranked, the
-    law holds at the point and the boundary matrix M has full rank 2^(n-1),
-    the answer is ``upper`` = 2^n without building the full rows (see
-    :func:`_column_rank`); otherwise the full rows at the same field and
-    point decide."""
-    at = _point_evaluation(g, generators)
-
-    def rank_at(field, point):
-        rows, boundary = at(field, point)
-        if boundary is not None:
-            cols = boundary()
-            if cols is not None and point_rank(cols, field, upper // 2) == upper // 2:
-                return upper
-        return point_rank(rows(), field, upper)
-
-    return rank_at
-
-
 def _column_rank(
     g: ChainMap, generators: Sequence[KElem] | None, method: RankMethod, rng, witness: bool = False
 ) -> tuple[int, list[Poly] | None]:
     """Rank of the images of the generators (of every s_I when None), and a
     kernel witness when asked for: the one place a chain-map rank is decided.
 
-    The rank is first evaluated at random points (see :func:`_point_rank`).
+    The rank is first evaluated at random points (see :func:`rank_at_points`).
     The modular method evaluates in fields of ``prime_bits()`` bits, drawing
     from ``rng`` (a fixed-seed generator when None).  The exact method
-    evaluates at the default field size from its own fixed-seed generator,
+    evaluates at ``DEFAULT_BITS`` bits from its own fixed-seed generator,
     so neither ``rng`` nor KOSZUL_PRIME_BITS matters.  A full evaluation
     rank is the exact rank (a minor nonzero at a point is a nonzero minor).
     A deficient one proves nothing: under the exact method, or when a
@@ -624,10 +604,20 @@ def _column_rank(
     cols = 1 << g.source.nvars if generators is None else len(generators)
     upper = min(1 << g.target.nvars, cols)
     if method is RankMethod.EXACT:
-        rng, size = random.Random(0x5EED), {}  # the default field size
+        rng, bits = random.Random(0x5EED), DEFAULT_BITS
     else:
-        rng, size = random.Random(0x5EED) if rng is None else rng, {"bits": prime_bits()}
-    evaluated = rank_at_points(_point_rank(g, generators, upper), g.target.nvars, g.target.char, rng, upper, **size)
+        rng, bits = random.Random(0x5EED) if rng is None else rng, prime_bits()
+    at = _point_evaluation(g, generators)
+
+    def rank_at(field, point):
+        rows, boundary = at(field, point)
+        if boundary is not None:
+            m_rows = boundary()
+            if m_rows is not None and point_rank(m_rows, field, upper // 2) == upper // 2:
+                return upper
+        return point_rank(rows(), field, upper)
+
+    evaluated = rank_at_points(rank_at, g.target.nvars, g.target.char, rng, upper, bits)
     if evaluated == (cols if witness else upper) or (method is RankMethod.MODULAR and not witness):
         return evaluated, None
     matrix = _image_matrix(g, generators)

@@ -29,7 +29,7 @@ from functools import cached_property
 from .chain_maps import ChainMap
 from .koszul import ComplexDescriptor, KElem, IndexSet
 from .linalg import field_rank, solve_linear
-from .polynomials import Char, Poly, _norm_coeff, add_into, add_scaled, monomials_of_degree, scale_map
+from .polynomials import Char, Poly, _norm_coeff, add_into, add_scaled, monomials_of_degree
 
 __all__ = [
     "Generator",
@@ -756,16 +756,9 @@ def verify_alpha(a: ComplexMap, max_degree: int | None = None) -> AlphaReport:
     chain_map_ok = not chain_failures
     failures.extend(f"differential law fails at {name}" for name in chain_failures)
     unit_index = list(src.koszul_descriptor.index_sets()).index(())
-    unit_image = a.images[unit_index]
-    projection_ok = a.target.augment(unit_image) == 1
+    projection_ok = a.target.augment(a.images[unit_index]) == 1
     if not projection_ok:
         failures.append("augmentation of the image of 1 is not 1")
-    else:
-        for i in range(1, src.nvars + 1):
-            scaled = scale_map(unit_image, Poly.variable(src.nvars, src.char, i))
-            if a.target.augment(scaled) != 0:
-                projection_ok = False
-                failures.append(f"class of t{i} is not killed by the augmentation")
     return AlphaReport(hypothesis_ok, chain_map_ok, projection_ok, failures)
 
 

@@ -9,11 +9,14 @@ Three layers live here:
 * fraction-free (Bareiss) elimination over the polynomial ring itself, the
   authoritative rank/determinant/kernel routines over the fraction field,
   all read from one echelon, ``_bareiss_echelon``;
-* randomized evaluation ranks: one loop, ``rank_at_points``, draws random
-  points of a large prime field (characteristic 0) or of GF(2^k)
-  (characteristic 2; log tables up to GF(2^16), quadratic towers above)
-  and asks the caller's ``rank_at(field, point)`` for the rank of the
-  matrix's values there.  The callback returns that rank, an int, and
+* randomized evaluation ranks: one loop, ``rank_at_points``, draws up to
+  ``EVALUATION_TRIALS`` random points, each in a field of ``DEFAULT_BITS``
+  bits unless the caller asks otherwise: a prime field (characteristic 0)
+  or GF(2^k) (characteristic 2; log tables up to GF(2^16), quadratic
+  towers above), and asks the caller's ``rank_at(field, point)`` for the
+  rank of the matrix's values there.  Each field evaluates a polynomial
+  itself (``evaluate``; ``PrimeField`` lifts rational coefficients), the
+  only polynomial evaluator.  The callback returns that rank, an int, and
   reduces whatever sparse rows it builds with ``point_rank``, the one
   sparsest-first elimination of evaluated rows: each row is reduced in a
   dense list, against pivot rows that its field prepared once (``pivot``)
@@ -32,7 +35,7 @@ from collections import Counter
 from fractions import Fraction
 from math import inf
 
-from .polynomials import Char, Poly, UnluckyPrimeError, eval_terms_mod_p, poly_divexact, power_tables
+from .polynomials import Char, Poly, UnluckyPrimeError, poly_divexact, power_tables
 
 __all__ = [
     "field_rank",
@@ -120,8 +123,24 @@ class PrimeField:
 
     def evaluate(self, p: Poly, pows: list[list[int]]) -> int:
         """Value of a characteristic-0 polynomial at the point whose power
-        tables are ``pows``; raises UnluckyPrimeError on a vanishing denominator."""
-        return eval_terms_mod_p(p, pows, self.prime)
+        tables are ``pows``: a rational coefficient is lifted through the
+        inverse of its denominator; a denominator that vanishes mod the
+        prime raises UnluckyPrimeError, so the caller draws a new prime."""
+        prime = self.prime
+        total = 0
+        for mono, coeff in p.terms.items():
+            if isinstance(coeff, Fraction):
+                den = coeff.denominator % prime
+                if den == 0:
+                    raise UnluckyPrimeError(f"denominator {coeff.denominator} vanishes mod {prime}")
+                c = coeff.numerator % prime * pow(den, -1, prime) % prime
+            else:
+                c = coeff % prime
+            for i, e in enumerate(mono):
+                if e:
+                    c = c * pows[i][e] % prime
+            total = (total + c) % prime
+        return total
 
 
 def _reduce(vectors, char: Char) -> dict:
@@ -594,33 +613,37 @@ def _rank_and_kernel(matrix: list[list[Poly]]):
 # ---------------------------------------------------------------------------
 
 
+# Points drawn per evaluation rank (fewer once one is full) and their fields' default bits.
+EVALUATION_TRIALS = 5
+DEFAULT_BITS = 31
+
 # Unlucky draws in a row that end a trial.  With P_b primes of b bits, one of
 # them usable, the chance is at most (1 - 1/P_b)^1500 < 2^-50 for P_b <= 43
 # (b <= 9); wider sizes get there only if 97.7% of their primes are unlucky.
 MAX_UNLUCKY_DRAWS = 1500
 
 
-def rank_at_points(rank_at, nvars: int, char: Char, rng, upper: int, trials: int = 5, bits: int = 31) -> int:
+def rank_at_points(rank_at, nvars: int, char: Char, rng, upper: int, bits: int = DEFAULT_BITS) -> int:
     """Probabilistic rank over the fraction field of a matrix given by its values at points.
 
-    The one evaluation loop.  Each trial draws its field (a fresh random
-    prime of ``bits`` bits in characteristic 0, ``gf2_field(bits)`` in
-    characteristic 2; evaluation must stay in the same characteristic for
-    minors to keep vanishing), then one uniform nonzero element per
-    variable, and asks ``rank_at(field, point)`` for the rank of the
-    matrix's values at that point (see :func:`point_rank`).  A ``rank_at``
-    that raises UnluckyPrimeError (a coefficient denominator vanished)
-    makes the trial draw a new prime and point, up to ``MAX_UNLUCKY_DRAWS``
-    times in a row; then UnluckyPrimeError names the bit size.  ``upper`` is
-    min(rows, columns); a matrix without rows or columns has rank 0 and
-    draws nothing.  The maximum rank over the given number of trials is
-    returned, stopping at the first full one; it is a certain lower bound
+    The one evaluation loop.  Each of ``EVALUATION_TRIALS`` trials draws
+    its field (a fresh random prime of ``bits`` bits in characteristic 0,
+    ``gf2_field(bits)`` in characteristic 2; evaluation must stay in the
+    same characteristic for minors to keep vanishing), then one uniform
+    nonzero element per variable, and asks ``rank_at(field, point)`` for
+    the rank of the matrix's values at that point (see :func:`point_rank`).
+    A ``rank_at`` that raises UnluckyPrimeError (a coefficient denominator
+    vanished) makes the trial draw a new prime and point, up to
+    ``MAX_UNLUCKY_DRAWS`` times in a row; then UnluckyPrimeError names the
+    bit size.  ``upper`` is min(rows, columns); a matrix without rows or
+    columns has rank 0 and draws nothing.  The maximum rank over the trials
+    is returned, stopping at the first full one; it is a certain lower bound
     for the true rank and equals it with overwhelming probability.
     """
     if not upper:
         return 0
     best = 0
-    for _ in range(trials):
+    for _ in range(EVALUATION_TRIALS):
         for _ in range(MAX_UNLUCKY_DRAWS):
             field = PrimeField(random_prime(bits, rng)) if char is Char.ZERO else gf2_field(bits)
             point = [field.random_nonzero(rng) for _ in range(nvars)]
@@ -685,7 +708,7 @@ def point_rank(rows, field, upper: int | None = None) -> int:
     return rank
 
 
-def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, bits: int = 31) -> int:
+def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, bits: int = DEFAULT_BITS) -> int:
     """Probabilistic rank of a polynomial matrix over the fraction field.
 
     :func:`rank_at_points` with the matrix's nonzero entries evaluated at
@@ -714,4 +737,4 @@ def evaluation_rank(matrix: list[list[Poly]], char: Char, rng, trials: int = 5, 
         rows = [{j: v for j, e in row if (v := field.evaluate(e, pows))} for row in entries]
         return point_rank(rows, field, upper)
 
-    return rank_at_points(rank_at, nvars, char, rng, upper, trials, bits)
+    return rank_at_points(rank_at, nvars, char, rng, upper, bits)

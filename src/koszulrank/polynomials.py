@@ -15,6 +15,10 @@ The characteristic also fixes the grading: deg t_i = 1 in characteristic 2
 and deg t_i = 2 in characteristic 0.  An exterior generator of level m has
 degree m respectively 2m+1; that convention lives on :class:`Char` so every
 module grades consistently.
+
+Polynomials are evaluated at points only by the fields of :mod:`linalg`
+(their ``evaluate``); this module gives them :func:`power_tables` and the
+:class:`UnluckyPrimeError` raised when a denominator vanishes mod a prime.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ __all__ = [
     "grlex_key",
     "monomials_of_degree",
     "poly_divexact",
-    "eval_mod_prime",
-    "eval_terms_mod_p",
     "power_tables",
     "scale_map",
 ]
@@ -270,15 +272,6 @@ class Poly:
             return degrees.pop()
         return None
 
-    def max_exponents(self) -> tuple:
-        """Componentwise maximum of all exponent tuples (zero vector if empty)."""
-        maxes = [0] * self.nvars
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e > maxes[i]:
-                    maxes[i] = e
-        return tuple(maxes)
-
     def leading(self) -> tuple:
         """(mono, coeff) of the graded-lex leading term."""
         if not self.terms:
@@ -419,21 +412,6 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     return Poly(a.nvars, a.char, quotient)
 
 
-def eval_mod_prime(p: Poly, point: Sequence[int], prime: int) -> int:
-    """Evaluate a characteristic-0 polynomial at a point in the prime field.
-
-    Rational coefficients are lifted exactly via modular inverses of their
-    denominators.  A denominator divisible by the prime raises
-    UnluckyPrimeError so callers can retry with a fresh prime.
-    """
-    if p.char is not Char.ZERO:
-        raise ValueError("eval_mod_prime applies to characteristic-0 polynomials only")
-    if len(point) != p.nvars:
-        raise ValueError(f"point length {len(point)} != nvars {p.nvars}")
-    pows = power_tables(point, p.max_exponents(), lambda a, b: a * b % prime)
-    return eval_terms_mod_p(p, pows, prime)
-
-
 def power_tables(point: Sequence[int], tops: Sequence[int], mul) -> list[list[int]]:
     """pows[i][e] = point[i]^e for e up to tops[i], multiplying with ``mul``."""
     pows = []
@@ -443,25 +421,6 @@ def power_tables(point: Sequence[int], tops: Sequence[int], mul) -> list[list[in
             row[e] = mul(row[e - 1], v)
         pows.append(row)
     return pows
-
-
-def eval_terms_mod_p(p: Poly, pows: list[list[int]], prime: int) -> int:
-    """Value mod prime of a characteristic-0 polynomial at the point whose
-    power tables are ``pows`` (see :func:`power_tables`); no input checks."""
-    total = 0
-    for mono, coeff in p.terms.items():
-        if isinstance(coeff, Fraction):
-            den = coeff.denominator % prime
-            if den == 0:
-                raise UnluckyPrimeError(f"denominator {coeff.denominator} vanishes mod {prime}")
-            c = coeff.numerator % prime * pow(den, -1, prime) % prime
-        else:
-            c = coeff % prime
-        for i, e in enumerate(mono):
-            if e:
-                c = c * pows[i][e] % prime
-        total = (total + c) % prime
-    return total
 
 
 @functools.cache

@@ -260,6 +260,14 @@ GOLDEN_STDOUT = [
     # of fraction-free elimination
     ("certify --n 5 --char 2 --grading full --rank-method exact --trials 3 --seed 7",
      "2a9d4a8c384554ba4f2b0fe161f994909c78fdf72375324c4ff00367376582e8"),
+    # recorded before char-0 evaluation moved onto PrimeField: char 0 without
+    # full grading, and parity grading in both characteristics
+    ("certify --n 5 --char 0 --trials 5 --seed 7",
+     "836982bd1b9ae61e9edc027749ce5bb57f26fa32e9d702c798b3f067d3d130e1"),
+    ("certify --n 5 --char 0 --grading parity --trials 5 --seed 7",
+     "0deff33c696948efe8acdcd22584c865c274777cdf5c2a331f957c0be45cf2d9"),
+    ("certify --n 5 --char 2 --grading parity --trials 5 --seed 7",
+     "6de683ae2d79af2434d6f70a4647e7a94653e2498d9acd7473418a2aa18f93ca"),
 ]
 
 # (KOSZUL_PRIME_BITS, args, sha256 of stdout), recorded before the char-2 field
@@ -269,6 +277,10 @@ GOLDEN_STDOUT_PRIME_BITS = [
      "5a8845326d4f641b1497dbe37a0e99cb52e44e364576846d398f322ce092174d"),
     ("40", "certify --n 4 --char 2 --trials 5 --seed 7",
      "5a8845326d4f641b1497dbe37a0e99cb52e44e364576846d398f322ce092174d"),
+    # recorded before char-0 evaluation moved onto PrimeField: 3-bit primes
+    # leave M deficient at most points, so the full rows decide there
+    ("3", "certify --n 4 --char 0 --grading full --trials 5 --seed 7",
+     "a14632a68af5ccffb9906ba1771dd9ec71d5d4ac5daa213a34e57ea4950f18cf"),
 ]
 
 

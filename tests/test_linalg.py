@@ -11,6 +11,7 @@ import pytest
 
 from koszulrank import linalg
 from koszulrank.linalg import (
+    EVALUATION_TRIALS,
     GF2Log,
     GF2TableTower,
     GF2Tower,
@@ -511,7 +512,8 @@ def test_evaluation_rank_matches_exact_rank(char):
 @pytest.mark.parametrize("char", [Char.ZERO, Char.TWO])
 def test_evaluation_rank_draw_order(char):
     """Per trial: a random prime (characteristic 0), then one nonzero field
-    element per variable; a full rank stops after the first trial."""
+    element per variable; a deficient rank draws all EVALUATION_TRIALS
+    trials, a full rank stops after the first."""
     nvars = 3
     t1, t2, t3 = (Poly.variable(nvars, char, i) for i in (1, 2, 3))
     deficient = [[t1, t2], [t1 * t3, t2 * t3]]
@@ -525,9 +527,10 @@ def test_evaluation_rank_draw_order(char):
                 rng.randrange(1, top)
         return rng.getstate()
 
+    assert EVALUATION_TRIALS == 5  # the draws of every seeded run depend on it
     rng = random.Random(43)
-    assert evaluation_rank(deficient, char, rng, trials=4) == 1
-    assert rng.getstate() == replay(43, 4)
+    assert evaluation_rank(deficient, char, rng) == 1
+    assert rng.getstate() == replay(43, EVALUATION_TRIALS)
     rng = random.Random(47)
-    assert evaluation_rank(full, char, rng, trials=4) == 2
+    assert evaluation_rank(full, char, rng) == 2
     assert rng.getstate() == replay(47, 1)

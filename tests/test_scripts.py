@@ -69,6 +69,7 @@ def test_bench_records_micro_timings(tmp_path, monkeypatch):
     assert set(fields) == {"F_p(31 bits)", "GF(2^16)", "GF(2^32)", "GF(2^64)"}
     for entry in fields.values():
         assert entry["rank"] == 256 and entry["mul_ns"] > 0 and entry["rank_s"] > 0
+        assert entry["eval_ns"] > 0
     homology = record["micro"]["homology"]
     assert (homology["n"], homology["m"], homology["koszul_n"]) == (4, 1, 10)
     assert {char: entry["max_degree"] for char, entry in homology["chars"].items()} == {"0": 24, "2": 12}
