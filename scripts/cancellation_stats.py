@@ -17,8 +17,14 @@ from collections import Counter
 
 from koszulrank.cancellation import contradiction_witness, random_coeffs
 from koszulrank.chain_maps import random_chain_map
-from koszulrank.cli import MAX_N
+from koszulrank.cli import MAX_M, MAX_N
 from koszulrank.polynomials import Char
+
+# Largest --max-terms: every index set draws up to this many homotopy terms,
+# so a trial's cost grows linearly in it.  One trial at 1000 takes about
+# 0.8 s at --n 9 and 7.7 s at --n 12 (0.2 s at --n 9 with 100) on 2 shared
+# cores with CPython 3.11; 10^8 runs past any time limit.
+MAX_TERMS = 1000
 
 
 def main() -> int:
@@ -37,10 +43,14 @@ def main() -> int:
         parser.exit(2, f"error: --n must be at most {MAX_N}\n")
     if args.m < 0:
         parser.error("--m must be non-negative")
+    if args.m > MAX_M:
+        parser.exit(2, f"error: --m must be at most {MAX_M}\n")
     if args.trials < 1:
         parser.error("--trials must be at least 1")
     if args.max_terms < 0:
         parser.error("--max-terms must be non-negative")
+    if args.max_terms > MAX_TERMS:
+        parser.exit(2, f"error: --max-terms must be at most {MAX_TERMS}\n")
     char = Char(args.char)
 
     edge_counts = Counter()

@@ -16,7 +16,7 @@ import sys
 
 from koszulrank.certificates import classical_bound, improved_bound
 from koszulrank.chain_maps import GradingMode, RankMethod, random_chain_map, rank
-from koszulrank.cli import MAX_N
+from koszulrank.cli import MAX_M, MAX_N
 from koszulrank.polynomials import Char
 
 
@@ -33,6 +33,8 @@ def main() -> int:
         parser.exit(2, f"error: --max-n must be at most {MAX_N}\n")
     if any(m < 0 for m in args.m):
         parser.error("--m must be non-negative")
+    if any(m > MAX_M for m in args.m):
+        parser.exit(2, f"error: --m must be at most {MAX_M}\n")
     if args.max_n < 2:  # the sweep starts at n = 2
         parser.exit(2, "error: --max-n must be at least 2\n")
     if not args.m:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chain_maps import ChainMap
-from .koszul import KElem, _Drawer, disjoint_blocks
+from .koszul import KElem, disjoint_blocks
 from .polynomials import Char, Poly, add_scaled
 
 __all__ = [
@@ -451,14 +451,13 @@ def random_coeffs(n: int, m: int, char: Char, rng) -> dict:
     triples = disjoint_blocks(n)
     if not triples:
         raise ValueError("need n >= 3 for a canonical triple")
-    draw = _Drawer(rng)
     while True:
         coeffs = {}
         for triple in triples:
             terms = {}
-            for _ in range(draw.randint(0, 2)):
-                mono = tuple([draw.randint(0, m + 1) for _ in range(n)])
-                terms[mono] = 1 if char is Char.TWO else draw.choice((1, -1))
+            for _ in range(rng.randint(0, 2)):
+                mono = tuple([rng.randint(0, m + 1) for _ in range(n)])
+                terms[mono] = 1 if char is Char.TWO else rng.choice((1, -1))
             coeffs[triple] = Poly(n, char, terms)
         if any(p.terms for p in coeffs.values()):
             return {t: p for t, p in coeffs.items() if p.terms}

@@ -34,7 +34,7 @@ from enum import Enum
 from collections.abc import Mapping, Sequence
 from itertools import combinations
 
-from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, _Drawer, faces
+from .koszul import ComplexDescriptor, IndexSet, KElem, _check_index_set, faces
 from .linalg import DEFAULT_BITS, _rank_and_kernel, bareiss_rank, point_rank, rank_at_points
 from .linalg import evaluation_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
 from .polynomials import Char, Poly, add_into, add_scaled, power_tables
@@ -699,6 +699,89 @@ def _term_tables(desc: ComplexDescriptor, word_degree: int, grading) -> tuple | 
     return range(n + 1), range(cap)
 
 
+def _draw_terms(rng, slots, max_terms: int, nvars: int, signed: bool) -> dict:
+    """A homotopy's random terms in one pass: key -> [(jset, monomial, sign), ...].
+
+    Per ``(key, (sizes, tdegs) or None)`` slot (tables of :func:`_term_tables`):
+    ``count = rng.randint(0, max_terms)``, then unless the table is None,
+    ``count`` terms of ``choice(sizes)`` (a (size, tdeg) pair when ``tdegs``
+    is None, else the size, then ``choice(tdegs)``), ``sorted(sample(range(1,
+    nvars + 1), size))``, ``koszul.random_monomial(rng, nvars, tdeg)`` and,
+    when ``signed``, ``choice((1, -1))``.  Keys without terms are left out.
+
+    The loop makes exactly those ``random.Random`` draws and leaves ``rng``
+    in the same state, but takes them from ``rng.getrandbits`` itself, by
+    CPython's ``_randbelow_with_getrandbits`` (unchanged from 3.10 through
+    3.13): take ``k.bit_length()`` bits and draw again while the value is k
+    or more.  The bit widths are taken once.  A population of at most 21 is
+    always sampled by CPython's pool branch, inlined here; a larger one,
+    which CPython may sample by its set branch, goes through ``rng.sample``.
+    ``tests/test_draws.py`` compares the loop with ``random.py`` on the
+    running interpreter.
+    """
+    if max_terms < 0:
+        raise ValueError(f"negative term cap {max_terms}")
+    getrandbits = rng.getrandbits
+    widths = [k.bit_length() for k in range(nvars + 1)]
+    population = list(range(1, nvars + 1))
+    pooled = nvars <= 21  # CPython's setsize is at least 21: always the pool branch
+    cbits = (max_terms + 1).bit_length()
+    draws: dict = {}
+    for key, table in slots:
+        count = getrandbits(cbits)
+        while count > max_terms:
+            count = getrandbits(cbits)
+        if table is None or not count:
+            continue
+        sizes, tdegs = table
+        nsizes = len(sizes)
+        sbits = nsizes.bit_length()
+        if tdegs is not None:
+            ntdegs = len(tdegs)
+            tbits = ntdegs.bit_length()
+        terms = draws[key] = []
+        for _ in range(count):
+            j = getrandbits(sbits)
+            while j >= nsizes:
+                j = getrandbits(sbits)
+            if tdegs is None:
+                size, tdeg = sizes[j]
+            else:
+                size = sizes[j]
+                j = getrandbits(tbits)
+                while j >= ntdegs:
+                    j = getrandbits(tbits)
+                tdeg = tdegs[j]
+            if pooled:
+                pool = population[:]
+                jset = []
+                for left in range(nvars, nvars - size, -1):
+                    bits = widths[left]
+                    j = getrandbits(bits)
+                    while j >= left:
+                        j = getrandbits(bits)
+                    jset.append(pool[j])
+                    pool[j] = pool[left - 1]
+            else:
+                jset = rng.sample(population, size)
+            jset.sort()
+            exps = [0] * nvars
+            bits = widths[nvars]
+            for _ in range(tdeg):
+                j = getrandbits(bits)
+                while j >= nvars:
+                    j = getrandbits(bits)
+                exps[j] += 1
+            sign = 1
+            if signed:
+                j = getrandbits(2)
+                while j >= 2:
+                    j = getrandbits(2)
+                sign = -1 if j else 1
+            terms.append((tuple(jset), tuple(exps), sign))
+    return draws
+
+
 def random_homotopy(
     source: ComplexDescriptor,
     rng,
@@ -710,9 +793,8 @@ def random_homotopy(
     Each nonempty index set receives at most ``max_terms`` random monomial
     summands with coefficients +-1 (always 1 in characteristic 2); small
     supports keep exact rank computations tractable.  Every draw is made
-    here, in index-set order and in one pass (:meth:`koszul._Drawer.terms`,
-    from the tables of :func:`_term_tables`), and kept as the homotopy's
-    ``draws``; each
+    here, in index-set order and in one pass (:func:`_draw_terms`, from the
+    tables of :func:`_term_tables`), and kept as the homotopy's ``draws``; each
     value is built when first read (see :class:`_LazyImages`) by summing its
     index set's drawn terms through :func:`add_into`, and is a zero element
     where nothing was drawn.
@@ -720,7 +802,7 @@ def random_homotopy(
     n = source.nvars
     tables = [_term_tables(source, source.s_degree * k, grading) for k in range(n + 1)]
     slots = [(indices, tables[len(indices)]) for indices in source.index_sets() if indices]
-    draws: dict[IndexSet, list[tuple]] = _Drawer(rng).terms(slots, max_terms, n, source.char is not Char.TWO)
+    draws: dict[IndexSet, list[tuple]] = _draw_terms(rng, slots, max_terms, n, source.char is not Char.TWO)
     target = ComplexDescriptor(n, 0, source.char)
 
     def build(indices: IndexSet) -> KElem:

@@ -6,15 +6,16 @@ across runs: each trial draws from its own generator derived from the master
 seed and the trial index, so results do not depend on execution order.
 
 Exit codes: 0 all checks passed, 1 check failure, 2 usage error (including
-an --n above MAX_N and an --out path that cannot be opened for writing, both
-checked before any trial, and an --out or stdout write that fails after the
-trials, e.g. on a full disk), 3 falsification event (a certified property
-failed on a verified map; the offending map is dumped in full).
+an --n above MAX_N, an --m above MAX_M and an --out path that cannot be
+opened for writing, all checked before any trial, and an --out or stdout
+write that fails after the trials, e.g. on a full disk), 3 falsification
+event (a certified property failed on a verified map; the offending map is
+dumped in full).
 
-The environment variable KOSZUL_PRIME_BITS (default 31, range 2..64) sets the
-bit size of the random evaluation fields used by the modular rank method: the
-prime's bit length in characteristic 0; in characteristic 2 it picks the field
-of ``linalg.gf2_field``.
+The environment variable KOSZUL_PRIME_BITS (default ``linalg.DEFAULT_BITS``,
+range 2..64) sets the bit size of the random evaluation fields used by the
+modular rank method: the prime's bit length in characteristic 0; in
+characteristic 2 it picks the field of ``linalg.gf2_field``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .koszul import (
     random_kelem,
     truncated_homology_dim,
 )
+from .linalg import DEFAULT_BITS
 from .polynomials import Char, Poly
 
 EXIT_OK = 0
@@ -64,6 +66,14 @@ EXIT_FALSIFICATION = 3
 # larger n would run for minutes to hours per trial, so it is a usage
 # error, not a hang.
 MAX_N = 12
+
+# Largest --m: power tables have length m + 2 per variable and point, and a
+# homotopy's monomials have degree up to (2m + 1)|I|, so a trial's cost grows
+# linearly in m.  One trial of certify --n 8 --grading full takes about 0.3 s
+# at m = 1000 and 2.6 s at m = 10^4 on 2 shared cores with CPython 3.11; an
+# --m of 10^8 runs past any time limit or ends in a MemoryError, so a larger
+# m is a usage error, not a hang.
+MAX_M = 1000
 
 
 @dataclass
@@ -295,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="koszulrank",
         description="Exact Koszul-complex checks, rank certificates and cancellation analysis.",
-        epilog="KOSZUL_PRIME_BITS overrides the evaluation field size (default 31, range 2..64).",
+        epilog=f"KOSZUL_PRIME_BITS overrides the evaluation field size (default {DEFAULT_BITS}, range 2..64).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
@@ -305,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=int, required=True, help=f"number of variables (1 to {MAX_N})")
-        p.add_argument("--m", type=int, default=1, help="source level (default 1)")
+        p.add_argument("--m", type=int, default=1, help=f"source level (0 to {MAX_M}, default 1)")
         p.add_argument("--char", type=int, choices=(0, 2), default=0, help="characteristic")
         p.add_argument("--seed", type=int, default=0, help="master seed (reproducible output)")
         p.add_argument("--trials", type=int, default=50, help="number of random trials")
@@ -345,6 +355,8 @@ def main(argv=None) -> int:
         parser.exit(EXIT_USAGE, f"error: --n must be at most {MAX_N}\n")
     if args.m < 0:
         parser.exit(EXIT_USAGE, "error: --m must be non-negative\n")
+    if args.m > MAX_M:
+        parser.exit(EXIT_USAGE, f"error: --m must be at most {MAX_M}\n")
     if args.trials < 1:
         parser.exit(EXIT_USAGE, "error: --trials must be at least 1\n")
     if args.command == "cancellation" and args.n < 3:

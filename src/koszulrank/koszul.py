@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, log
 from typing import Iterator, Mapping
 
 from .linalg import field_rank  # noqa: F401  re-exported: perfbench/tracing.py patches it here
@@ -300,204 +299,40 @@ class KElem:
         return cls(desc, coeffs)
 
 
-class _Drawer:
-    """The draws of ``random.Random``'s ``randint``, ``randrange``, ``choice`` and
-    ``sample``, made with fewer interpreter calls and consuming ``rng`` identically.
-
-    Every draw is :meth:`below`, a copy of CPython's
-    ``Random._randbelow_with_getrandbits`` (unchanged from 3.10 through 3.13
-    for k > 0): take ``k.bit_length()`` bits from ``rng.getrandbits`` and
-    draw again while the value is k or more.  The loops of :meth:`sample`,
-    :meth:`monomial` and :meth:`terms`, which makes a homotopy's draws,
-    inline it.
-    ``below(k)`` is ``randrange(k)``, and ``randint(a, b)`` is
-    ``a + below(b - a + 1)``.
-    :meth:`sample` takes CPython's two branches, the pool below its
-    ``setsize`` threshold and the set of selections above it.  So a drawer
-    returns what those ``random.py`` methods return and leaves ``rng`` in the
-    same state.  Fixed-seed output depends on these algorithms, as it did
-    when ``random.py`` made the calls; ``tests/test_draws.py`` compares the
-    two on the running interpreter.  The drawer holds no state of its own,
-    so other draws from ``rng`` may interleave with its draws.
-    """
-
-    __slots__ = ("getrandbits",)
-
-    def __init__(self, rng):
-        self.getrandbits = rng.getrandbits
-
-    def below(self, k: int) -> int:
-        """A uniform integer in 0..k-1; ``ValueError`` for an empty range, as ``randrange``.
-
-        ``getrandbits(0)`` is 0, so without the check k <= 0 would redraw forever.
-        """
-        if k <= 0:
-            raise ValueError(f"empty range for a random draw below {k}")
-        getrandbits = self.getrandbits
-        bits = k.bit_length()
-        r = getrandbits(bits)
-        while r >= k:
-            r = getrandbits(bits)
-        return r
-
-    def randint(self, a: int, b: int) -> int:
-        return a + self.below(b - a + 1)
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
-    def sample(self, population, k: int) -> list:
-        n = len(population)
-        if not 0 <= k <= n:
-            raise ValueError("sample larger than population or is negative")
-        below = self.below
-        setsize = 21  # CPython's threshold between the pool and the set branch
-        if k > 5:
-            setsize += 4 ** ceil(log(k * 3, 4))
-        result = []
-        if n <= setsize:
-            getrandbits = self.getrandbits
-            pool = list(population)
-            for left in range(n, n - k, -1):  # j = below(left)
-                bits = left.bit_length()
-                j = getrandbits(bits)
-                while j >= left:
-                    j = getrandbits(bits)
-                result.append(pool[j])
-                pool[j] = pool[left - 1]
-            return result
-        selected = set()
-        for _ in range(k):
-            j = below(n)
-            while j in selected:
-                j = below(n)
-            selected.add(j)
-            result.append(population[j])
-        return result
-
-    def monomial(self, nvars: int, total: int) -> tuple:
-        """Exponent vector of the given total degree, one variable drawn per unit."""
-        if nvars <= 0 < total:
-            raise ValueError("no variable to draw")
-        getrandbits = self.getrandbits
-        bits = nvars.bit_length()
-        exps = [0] * nvars
-        for _ in range(total):  # j = below(nvars)
-            j = getrandbits(bits)
-            while j >= nvars:
-                j = getrandbits(bits)
-            exps[j] += 1
-        return tuple(exps)
-
-
-    def terms(self, slots, max_terms: int, nvars: int, signed: bool) -> dict:
-        """A homotopy's random terms in one pass: key -> [(jset, monomial, sign), ...].
-
-        Per ``(key, (sizes, tdegs) or None)`` slot: ``count = randint(0,
-        max_terms)``, then unless the table is None, ``count`` terms of
-        ``choice(sizes)`` (a (size, tdeg) pair when ``tdegs`` is None, else
-        the size, then ``choice(tdegs)``), ``sorted(sample(range(1, nvars +
-        1), size))``, ``monomial(nvars, tdeg)`` and, when ``signed``,
-        ``choice((1, -1))``.  Keys without terms are left out.  :meth:`below`
-        is inlined on bit widths taken once; a population above 21, which
-        CPython may sample by its set branch, goes through :meth:`sample`.
-        """
-        if max_terms < 0:
-            raise ValueError(f"negative term cap {max_terms}")
-        getrandbits = self.getrandbits
-        widths = [k.bit_length() for k in range(nvars + 1)]
-        population = list(range(1, nvars + 1))
-        pooled = nvars <= 21  # CPython's setsize is at least 21: always the pool branch
-        cbits = (max_terms + 1).bit_length()
-        draws: dict = {}
-        for key, table in slots:
-            count = getrandbits(cbits)
-            while count > max_terms:
-                count = getrandbits(cbits)
-            if table is None or not count:
-                continue
-            sizes, tdegs = table
-            nsizes = len(sizes)
-            sbits = nsizes.bit_length()
-            if tdegs is not None:
-                ntdegs = len(tdegs)
-                tbits = ntdegs.bit_length()
-            terms = draws[key] = []
-            for _ in range(count):
-                j = getrandbits(sbits)
-                while j >= nsizes:
-                    j = getrandbits(sbits)
-                if tdegs is None:
-                    size, tdeg = sizes[j]
-                else:
-                    size = sizes[j]
-                    j = getrandbits(tbits)
-                    while j >= ntdegs:
-                        j = getrandbits(tbits)
-                    tdeg = tdegs[j]
-                if pooled:
-                    pool = population[:]
-                    jset = []
-                    for left in range(nvars, nvars - size, -1):
-                        bits = widths[left]
-                        j = getrandbits(bits)
-                        while j >= left:
-                            j = getrandbits(bits)
-                        jset.append(pool[j])
-                        pool[j] = pool[left - 1]
-                else:
-                    jset = self.sample(population, size)
-                jset.sort()
-                exps = [0] * nvars
-                bits = widths[nvars]
-                for _ in range(tdeg):
-                    j = getrandbits(bits)
-                    while j >= nvars:
-                        j = getrandbits(bits)
-                    exps[j] += 1
-                sign = 1
-                if signed:
-                    j = getrandbits(2)
-                    while j >= 2:
-                        j = getrandbits(2)
-                    sign = -1 if j else 1
-                terms.append((tuple(jset), tuple(exps), sign))
-        return draws
-
-
 def random_kelem(desc: ComplexDescriptor, rng, max_terms: int = 4, max_exp: int = 2) -> KElem:
     """Random sparse element, for property checks and verification sweeps."""
     if max_terms < 0 or max_exp < 0:
         raise ValueError("max_terms and max_exp must be non-negative")
-    draw = _Drawer(rng)
     n = desc.nvars
     population = range(1, n + 1)
     coeffs: dict[IndexSet, Poly] = {}
-    for _ in range(draw.randint(0, max_terms)):
-        indices = tuple(sorted(draw.sample(population, draw.randint(0, n))))
-        mono = tuple([draw.randint(0, max_exp) for _ in range(n)])
-        coeff = 1 if desc.char is Char.TWO else draw.choice((1, -1, 2))
+    for _ in range(rng.randint(0, max_terms)):
+        indices = tuple(sorted(rng.sample(population, rng.randint(0, n))))
+        mono = tuple([rng.randint(0, max_exp) for _ in range(n)])
+        coeff = 1 if desc.char is Char.TWO else rng.choice((1, -1, 2))
         add_into(coeffs, indices, Poly.monomial(n, desc.char, mono, coeff))
     return KElem(desc, coeffs)
 
 
 def random_monomial(rng, nvars: int, total: int) -> tuple:
     """Random exponent vector of the given total degree, one variable drawn per unit."""
-    return _Drawer(rng).monomial(nvars, total)
+    exps = [0] * nvars
+    for _ in range(total):
+        exps[rng.randrange(nvars)] += 1
+    return tuple(exps)
 
 
 def random_homogeneous_kelem(desc: ComplexDescriptor, rng, max_terms: int = 3, max_exp: int = 2) -> KElem:
     """Random element whose terms all share one graded degree (possibly zero)."""
-    draw = _Drawer(rng)
     n = desc.nvars
     population = range(1, n + 1)
-    size = draw.randint(0, n)
-    tdeg = draw.randint(0, max_exp * 2)
+    size = rng.randint(0, n)
+    tdeg = rng.randint(0, max_exp * 2)
     coeffs: dict[IndexSet, Poly] = {}
-    for _ in range(draw.randint(1, max_terms)):
-        indices = tuple(sorted(draw.sample(population, size)))
-        mono = draw.monomial(n, tdeg)
-        coeff = 1 if desc.char is Char.TWO else draw.choice((1, -1))
+    for _ in range(rng.randint(1, max_terms)):
+        indices = tuple(sorted(rng.sample(population, size)))
+        mono = random_monomial(rng, n, tdeg)
+        coeff = 1 if desc.char is Char.TWO else rng.choice((1, -1))
         add_into(coeffs, indices, Poly.monomial(n, desc.char, mono, coeff))
     return KElem(desc, coeffs)
 

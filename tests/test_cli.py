@@ -12,6 +12,7 @@ import koszulrank
 from koszulrank import cli
 from koszulrank.chain_maps import ChainMap, verify_chain_map
 from koszulrank.koszul import ComplexDescriptor
+from koszulrank.linalg import DEFAULT_BITS
 from koszulrank.cli import (
     EXIT_FALSIFICATION,
     EXIT_OK,
@@ -69,6 +70,34 @@ def test_an_n_above_the_cap_exits_2_before_building_a_complex(command, capsys, m
     with pytest.raises(SystemExit):
         main([command, "--help"])
     assert f"(1 to {cli.MAX_N})" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify-complex", "certify", "cancellation"])
+def test_an_m_above_the_cap_exits_2_before_building_a_complex(command, capsys, monkeypatch):
+    def no_complex(self):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(ComplexDescriptor, "__post_init__", no_complex)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--n", "3", "--m", str(cli.MAX_M + 1), "--trials", "1"])
+    assert info.value.code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --m must be at most {cli.MAX_M}\n"
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"(0 to {cli.MAX_M}, default 1)" in capsys.readouterr().out
+
+
+def test_the_largest_m_runs(tmp_path):
+    code, lines = _run(tmp_path, "verify-complex", "--n", "1", "--m", str(cli.MAX_M), "--trials", "1")
+    assert code == EXIT_OK and lines[0]["passed"]
+
+
+def test_help_shows_the_default_field_size(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # argparse wraps the epilog
+    assert f"KOSZUL_PRIME_BITS overrides the evaluation field size (default {DEFAULT_BITS}," in out
 
 
 def _main_output(argv, capsys):

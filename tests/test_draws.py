@@ -1,26 +1,32 @@
-"""Oracle tests for the one random drawer, ``koszul._Drawer``.
+"""Oracle tests for the random draws of the package.
 
-Every random draw in the package goes through the drawer, which reads
-``rng.getrandbits`` itself instead of calling ``random.Random``'s methods.
-The reference functions below are the ``random.py``-based bodies the six
-draw sites had before; fixed-seed output stays byte-identical only while
-the drawer makes exactly their draws.  The comparison runs against this
-interpreter's ``random`` module, so a CPython that changes ``randrange``,
-``choice`` or ``sample`` fails here before it silently changes a golden.
+The cold draws (``random_kelem``, ``random_homogeneous_kelem``,
+``random_monomial`` and ``cancellation.random_coeffs``) call
+``random.Random``'s own methods.  The one hot loop,
+``chain_maps._draw_terms``, which makes a homotopy's draws, reads
+``rng.getrandbits`` itself and copies CPython's ``randrange``, ``choice``
+and ``sample`` algorithms.  The reference functions below are the
+``random.py``-based bodies of the draw sites; fixed-seed output stays
+byte-identical only while the package makes exactly their draws.  The
+comparison runs against this interpreter's ``random`` module, so a CPython
+that changes ``randrange``, ``choice`` or ``sample`` fails here before it
+silently changes a golden.
 """
 
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import koszulrank
 from koszulrank.cancellation import random_coeffs
-from koszulrank.chain_maps import GradingMode, random_homotopy
+from koszulrank.chain_maps import GradingMode, _draw_terms, random_homotopy
 from koszulrank.cli import MAX_N
 from koszulrank.koszul import (
     ComplexDescriptor,
     KElem,
-    _Drawer,
     disjoint_blocks,
     random_homogeneous_kelem,
     random_kelem,
@@ -167,12 +173,12 @@ def test_homotopy_draws_match_random_py_up_to_the_cli_maximum(n):
 
 
 def test_term_draws_above_the_pool_threshold_match_random_py():
-    # populations above 21 take CPython's sample branches through _Drawer.sample
+    # populations above 21 take CPython's sample branches through rng.sample
     for nvars, seed in product((22, 40, 90), SEEDS):
         ours, theirs = _twins(seed)
         tables = [(range(nvars + 1), range(4)), ([(k, 2) for k in range(0, nvars + 1, 3)], None), None]
         slots = [(k, tables[k % 3]) for k in range(12)]
-        draws = _Drawer(ours).terms(slots, 3, nvars, signed=True)
+        draws = _draw_terms(ours, slots, 3, nvars, signed=True)
         expected = {}
         for key, table in slots:
             count = theirs.randint(0, 3)
@@ -212,38 +218,6 @@ def test_element_and_coefficient_draws_match_random_py():
 
 
 # ---------------------------------------------------------------------------
-# the drawer against random.Random
-# ---------------------------------------------------------------------------
-
-
-def test_drawer_integers_match_random_py():
-    for seed in SEEDS:
-        ours, theirs = _twins(seed)
-        draw = _Drawer(ours)
-        for k in (1, 2, 3, 7, 8, 9, 31, 32, 33, 1000, 2**40 + 1):
-            assert draw.below(k) == theirs.randrange(k)
-            assert draw.randint(-k, k) == theirs.randint(-k, k)
-            assert draw.choice(range(k)) == theirs.choice(range(k))
-        assert ours.getstate() == theirs.getstate()
-
-
-def test_drawer_sample_matches_random_py_on_both_branches():
-    # CPython samples from a pool while the population is at most 21 (more
-    # for k > 5) and from a set of selections above that; n <= 30 takes both
-    for seed in SEEDS:
-        ours, theirs = _twins(seed)
-        draw = _Drawer(ours)
-        for n in range(31):
-            population = range(1, n + 1)
-            for k in range(n + 1):
-                assert draw.sample(population, k) == theirs.sample(population, k), (n, k)
-                assert draw.sample(tuple(population), k) == theirs.sample(tuple(population), k), (n, k)
-        assert ours.getstate() == theirs.getstate()
-    with pytest.raises(ValueError):
-        _Drawer(random.Random(0)).sample(range(3), 4)
-
-
-# ---------------------------------------------------------------------------
 # empty ranges raise instead of redrawing forever
 # ---------------------------------------------------------------------------
 
@@ -255,12 +229,6 @@ class _BoundedRandom(random.Random):
         self.calls = getattr(self, "calls", 0) + 1
         assert self.calls < 1000, "drawing without end"
         return super().getrandbits(k)
-
-
-@pytest.mark.parametrize("k", [0, -1])
-def test_drawer_refuses_an_empty_range(k):
-    with pytest.raises(ValueError):
-        _Drawer(_BoundedRandom(0)).below(k)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -282,3 +250,28 @@ def test_monomials_of_no_variables_match_random_py():
     for rng, draw in ((ours, random_monomial), (theirs, reference_random_monomial)):
         with pytest.raises(ValueError):
             draw(rng, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# one copy of CPython's draw algorithm
+# ---------------------------------------------------------------------------
+
+
+def _getrandbits_readers(node, scope, readers):
+    """Add to ``readers`` the qualified name of each scope under ``node`` that reads ``.getrandbits``."""
+    if isinstance(node, ast.Attribute) and node.attr == "getrandbits":
+        readers.add(".".join(scope))
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = [*scope, node.name]
+    for child in ast.iter_child_nodes(node):
+        _getrandbits_readers(child, scope, readers)
+    return readers
+
+
+def test_only_the_homotopy_term_loop_reads_getrandbits():
+    # every other draw goes through random.Random's own methods, so the
+    # package holds one hand copy of CPython's draw algorithm
+    readers = set()
+    for path in Path(koszulrank.__file__).parent.glob("*.py"):
+        _getrandbits_readers(ast.parse(path.read_text()), [path.stem], readers)
+    assert readers == {"chain_maps._draw_terms"}

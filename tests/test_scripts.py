@@ -40,6 +40,9 @@ def test_script_runs(argv):
         ["scripts/bench.py", "--out", "unused.json", "--baseline", "no-such-checkout"],
         ["scripts/rank_sweep.py", "--max-n", "40", "--trials", "1"],
         ["scripts/cancellation_stats.py", "--n", "40", "--trials", "1"],
+        ["scripts/rank_sweep.py", "--max-n", "2", "--m", "1", "100000000", "--trials", "1"],
+        ["scripts/cancellation_stats.py", "--n", "3", "--m", "100000000", "--trials", "1"],
+        ["scripts/cancellation_stats.py", "--n", "3", "--max-terms", "100000000", "--trials", "1"],
     ],
 )
 def test_script_bad_flag_is_a_usage_error(argv):
