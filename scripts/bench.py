@@ -322,8 +322,7 @@ def main() -> int:
     parser.add_argument("--runs", type=int, default=3, help="benchmark runs (0: micro-timings only)")
     parser.add_argument("--baseline", type=Path, default=None, help="checkout to alternate runs with")
     args = parser.parse_args()
-    if args.runs < 0:
-        parser.error("--runs must be non-negative")
+    cli.check_inputs(parser, {"--runs": args.runs}, {"--runs": (0, None)})
     if args.baseline is not None and not (args.baseline / "perfbench" / "run.py").is_file():
         parser.error(f"--baseline {args.baseline} has no perfbench/run.py")
 

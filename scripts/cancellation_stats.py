@@ -17,7 +17,7 @@ from collections import Counter
 
 from koszulrank.cancellation import contradiction_witness, random_coeffs
 from koszulrank.chain_maps import random_chain_map
-from koszulrank.cli import MAX_M, MAX_N
+from koszulrank.cli import MAX_M, MAX_N, check_inputs
 from koszulrank.polynomials import Char
 
 # Largest --max-terms: every index set draws up to this many homotopy terms,
@@ -25,6 +25,16 @@ from koszulrank.polynomials import Char
 # 0.8 s at --n 9 and 7.7 s at --n 12 (0.2 s at --n 9 with 100) on 2 shared
 # cores with CPython 3.11; 10^8 runs past any time limit.
 MAX_TERMS = 1000
+
+# random_chain_map's default max_terms, which every trial of the CLI draws.
+CLI_MAX_TERMS = 3
+
+# Largest 2^n * max_terms * (m + 1), the size of the CLI's largest
+# cancellation cell; the three costs multiply, so a run above it is refused
+# even with each flag in range.  One trial at --n 12 --m 1000 --max-terms 1000
+# took 170 s on 2 shared cores with CPython 3.11, and the CLI's
+# cancellation --n 12 --m 1000 0.7 s.
+LARGEST_CELL = 2 ** MAX_N * CLI_MAX_TERMS * (MAX_M + 1)
 
 
 def main() -> int:
@@ -34,23 +44,15 @@ def main() -> int:
     parser.add_argument("--char", type=int, choices=(0, 2), default=0)
     parser.add_argument("--trials", type=int, default=300)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-terms", type=int, default=3,
+    parser.add_argument("--max-terms", type=int, default=CLI_MAX_TERMS,
                         help="homotopy support size (larger = more rest terms)")
     args = parser.parse_args()
-    if args.n < 3:
-        parser.error("--n must be at least 3")
-    if args.n > MAX_N:
-        parser.exit(2, f"error: --n must be at most {MAX_N}\n")
-    if args.m < 0:
-        parser.error("--m must be non-negative")
-    if args.m > MAX_M:
-        parser.exit(2, f"error: --m must be at most {MAX_M}\n")
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
-    if args.max_terms < 0:
-        parser.error("--max-terms must be non-negative")
-    if args.max_terms > MAX_TERMS:
-        parser.exit(2, f"error: --max-terms must be at most {MAX_TERMS}\n")
+    check_inputs(parser, {"--n": args.n, "--m": args.m, "--trials": args.trials, "--max-terms": args.max_terms},
+                 {"--n": (3, MAX_N), "--max-terms": (0, MAX_TERMS)})
+    allowed = LARGEST_CELL // (2 ** args.n * (args.m + 1))
+    if args.max_terms > allowed:
+        parser.exit(2, f"error: --max-terms must be at most {allowed} at --n {args.n} and --m {args.m} "
+                       f"(2^n * max_terms * (m + 1) at most {LARGEST_CELL})\n")
     char = Char(args.char)
 
     edge_counts = Counter()

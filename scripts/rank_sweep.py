@@ -16,7 +16,7 @@ import sys
 
 from koszulrank.certificates import classical_bound, improved_bound
 from koszulrank.chain_maps import GradingMode, RankMethod, random_chain_map, rank
-from koszulrank.cli import MAX_M, MAX_N
+from koszulrank.cli import MAX_N, check_inputs
 from koszulrank.polynomials import Char
 
 
@@ -27,16 +27,8 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=25)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
-    if args.max_n > MAX_N:
-        parser.exit(2, f"error: --max-n must be at most {MAX_N}\n")
-    if any(m < 0 for m in args.m):
-        parser.error("--m must be non-negative")
-    if any(m > MAX_M for m in args.m):
-        parser.exit(2, f"error: --m must be at most {MAX_M}\n")
-    if args.max_n < 2:  # the sweep starts at n = 2
-        parser.exit(2, "error: --max-n must be at least 2\n")
+    check_inputs(parser, {"--max-n": args.max_n, "--m": args.m, "--trials": args.trials},
+                 {"--max-n": (2, MAX_N)})  # the sweep starts at n = 2
     if not args.m:
         parser.exit(2, "error: --m needs at least one level\n")
 

@@ -6,11 +6,11 @@ across runs: each trial draws from its own generator derived from the master
 seed and the trial index, so results do not depend on execution order.
 
 Exit codes: 0 all checks passed, 1 check failure, 2 usage error (including
-an --n above MAX_N, an --m above MAX_M and an --out path that cannot be
-opened for writing, all checked before any trial, and an --out or stdout
-write that fails after the trials, e.g. on a full disk), 3 falsification
-event (a certified property failed on a verified map; the offending map is
-dumped in full).
+a flag outside its ``LIMITS``, a bad KOSZUL_PRIME_BITS and an --out path that
+cannot be opened for writing, all checked before any trial, and an --out or
+stdout write that fails after the trials, e.g. on a full disk), 3
+falsification event (a certified property failed on a verified map; the
+offending map is dumped in full).
 
 The environment variable KOSZUL_PRIME_BITS (default ``linalg.DEFAULT_BITS``,
 range 2..64) sets the bit size of the random evaluation fields used by the
@@ -74,6 +74,27 @@ MAX_N = 12
 # --m of 10^8 runs past any time limit or ends in a MemoryError, so a larger
 # m is a usage error, not a hang.
 MAX_M = 1000
+
+# Least and largest value (None: no largest) of each flag the entry points
+# share; an entry point's own limits take precedence.
+LIMITS = {"--n": (1, MAX_N), "--m": (0, MAX_M), "--trials": (1, None)}
+
+
+def check_inputs(parser: argparse.ArgumentParser, values: dict, limits: dict | None = None) -> None:
+    """Exit with EXIT_USAGE and one ``error:`` line on the first flag value out
+    of range (``values`` maps a flag to a value or a list of them; ranges come
+    from ``limits``, then ``LIMITS``) or on a bad KOSZUL_PRIME_BITS."""
+    for flag, value in values.items():
+        low, high = {**LIMITS, **(limits or {})}[flag]
+        for item in value if isinstance(value, list) else [value]:
+            if item < low:
+                parser.exit(EXIT_USAGE, f"error: {flag} must be {f'at least {low}' if low else 'non-negative'}\n")
+            if high is not None and item > high:
+                parser.exit(EXIT_USAGE, f"error: {flag} must be at most {high}\n")
+    try:
+        prime_bits()
+    except ValueError as exc:
+        parser.exit(EXIT_USAGE, f"error: {exc}\n")
 
 
 @dataclass
@@ -349,22 +370,8 @@ def _config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.n < 1:
-        parser.exit(EXIT_USAGE, "error: --n must be at least 1\n")
-    if args.n > MAX_N:
-        parser.exit(EXIT_USAGE, f"error: --n must be at most {MAX_N}\n")
-    if args.m < 0:
-        parser.exit(EXIT_USAGE, "error: --m must be non-negative\n")
-    if args.m > MAX_M:
-        parser.exit(EXIT_USAGE, f"error: --m must be at most {MAX_M}\n")
-    if args.trials < 1:
-        parser.exit(EXIT_USAGE, "error: --trials must be at least 1\n")
-    if args.command == "cancellation" and args.n < 3:
-        parser.exit(EXIT_USAGE, "error: cancellation requires --n >= 3 (no triple exists)\n")
-    try:
-        prime_bits()
-    except ValueError as exc:
-        parser.exit(EXIT_USAGE, f"error: {exc}\n")
+    check_inputs(parser, {"--n": args.n, "--m": args.m, "--trials": args.trials},
+                 {"--n": (3, MAX_N)} if args.command == "cancellation" else None)  # no triple below 3
     cfg = _config_from_args(args)
     runner = {
         "verify-complex": cmd_verify_complex,

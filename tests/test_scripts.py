@@ -1,6 +1,8 @@
-"""The experiment scripts run end to end on tiny inputs."""
+"""The experiment scripts run end to end on tiny inputs, and every entry point gates its flags alike."""
 
+import functools
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -10,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import koszulrank
+from koszulrank import cli
+from koszulrank.chain_maps import random_chain_map
+from koszulrank.koszul import ComplexDescriptor
 
 SRC = Path(koszulrank.__file__).resolve().parent.parent
 ROOT = SRC.parent
@@ -99,8 +104,9 @@ def test_bench_records_micro_timings(tmp_path, monkeypatch):
             assert cell["rank_s"] > 0 and 0 < cell["boundary_entries"] < cell["full_entries"]
 
 
-def _run(argv):
+def _run(argv, **environ):
     env = {k: v for k, v in os.environ.items() if k != "KOSZUL_PRIME_BITS"}
+    env.update(environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
@@ -127,3 +133,99 @@ def test_cancellation_stats_counts_an_invalid_sink_as_a_falsification(monkeypatc
     monkeypatch.setattr(sys, "argv", ["cancellation_stats.py", "--n", "6", "--trials", "2"])
     assert script.main() == 3
     assert "FALSIFICATION" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["scripts/rank_sweep.py", "--max-n", "3", "--trials", "1"],
+    ["scripts/cancellation_stats.py", "--n", "3", "--trials", "1"],
+])
+def test_script_bad_prime_bits_is_a_usage_error(argv):
+    result = _run(argv, KOSZUL_PRIME_BITS="abc")
+    assert result.returncode == 2 and not result.stdout
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error:") and "KOSZUL_PRIME_BITS" in line
+
+
+SCRIPTS = ("rank_sweep", "cancellation_stats", "bench")
+MAX_TERMS = _load_script("cancellation_stats").MAX_TERMS
+# (entry point, argv without the flag, flag, least, largest): every flag that
+# cli.check_inputs gates, with the entry point's own limits where they
+# replace cli.LIMITS
+GATES = [
+    *((command, [command, "--n", "3"], flag, *cli.LIMITS[flag])
+      for command in ("verify-complex", "certify") for flag in cli.LIMITS),
+    ("cancellation", ["cancellation", "--n", "3"], "--n", 3, cli.MAX_N),
+    ("cancellation", ["cancellation", "--n", "3"], "--m", *cli.LIMITS["--m"]),
+    ("cancellation", ["cancellation", "--n", "3"], "--trials", *cli.LIMITS["--trials"]),
+    ("rank_sweep", ["--max-n", "2"], "--max-n", 2, cli.MAX_N),
+    ("rank_sweep", ["--max-n", "2"], "--m", *cli.LIMITS["--m"]),
+    ("rank_sweep", ["--max-n", "2"], "--trials", *cli.LIMITS["--trials"]),
+    ("cancellation_stats", [], "--n", 3, cli.MAX_N),
+    ("cancellation_stats", [], "--m", *cli.LIMITS["--m"]),
+    ("cancellation_stats", [], "--trials", *cli.LIMITS["--trials"]),
+    ("cancellation_stats", [], "--max-terms", 0, MAX_TERMS),
+    ("bench", ["--out", "unused.json"], "--runs", 0, None),
+]
+
+
+@pytest.mark.parametrize("entry, argv, flag, least, largest", GATES,
+                         ids=[f"{entry}{flag}" for entry, _, flag, _, _ in GATES])
+def test_every_entry_point_refuses_a_flag_out_of_range_alike(entry, argv, flag, least, largest, capsys, monkeypatch):
+    def built(self):
+        raise AssertionError("a complex was built before the gate")
+
+    monkeypatch.setattr(ComplexDescriptor, "__post_init__", built)
+    monkeypatch.delenv("KOSZUL_PRIME_BITS", raising=False)
+    refusals = {least - 1: f"at least {least}" if least else "non-negative"}
+    if largest is not None:
+        refusals[largest + 1] = f"at most {largest}"
+    for value, bound in refusals.items():
+        values = ["1", str(value)] if flag == "--m" and entry == "rank_sweep" else [str(value)]
+        if entry in SCRIPTS:
+            monkeypatch.setattr(sys, "argv", [f"{entry}.py", *argv, flag, *values])
+            run = _load_script(entry).main
+        else:
+            run = functools.partial(cli.main, [*argv, flag, *values])
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == 2
+        assert capsys.readouterr() == ("", f"error: {flag} must be {bound}\n")
+
+
+def test_the_largest_cell_is_the_clis():
+    script = _load_script("cancellation_stats")
+    assert script.CLI_MAX_TERMS == inspect.signature(random_chain_map).parameters["max_terms"].default
+    assert script.LARGEST_CELL == 2 ** cli.MAX_N * script.CLI_MAX_TERMS * (cli.MAX_M + 1)
+
+
+class Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("m, max_terms, refused", [
+    (1000, 1000, True),  # one trial took 170 s
+    (1000, 4, True),
+    (10, 274, True),
+    (1, 1000, False),
+    (2, 1000, False),
+    (10, 273, False),
+    (1000, 3, False),
+])
+def test_cancellation_stats_refuses_a_cell_above_the_clis_largest(m, max_terms, refused, capsys, monkeypatch):
+    script = _load_script("cancellation_stats")
+
+    def draw(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(script, "random_chain_map", draw)
+    monkeypatch.delenv("KOSZUL_PRIME_BITS", raising=False)
+    monkeypatch.setattr(sys, "argv", ["cancellation_stats.py", "--n", str(cli.MAX_N), "--m", str(m),
+                                      "--max-terms", str(max_terms), "--trials", "1"])
+    with pytest.raises(SystemExit if refused else Drawn) as info:
+        script.main()
+    out, err = capsys.readouterr()
+    assert not out
+    if refused:
+        assert info.value.code == 2
+        (line,) = err.splitlines()
+        assert line.startswith("error: --max-terms must be at most ")
